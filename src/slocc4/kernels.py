@@ -1,8 +1,14 @@
 """Hot numeric kernels for batched 3-qubit classification.
 
-Every kernel exists in two functionally identical versions: a scalar-loop
-version compiled by numba and a vectorized pure-numpy fallback.  The
-active version is chosen at import time via :mod:`slocc4.backend`.
+The classifier calls these with one to five rows at a time, where numpy's
+per-call dispatch costs more than the arithmetic, so ``tri_codes_batch``
+is a plain loop over the rows in Python complex arithmetic.  The kernels
+whose values become polynomial coefficients (the quartic from
+``ghz_invariant_batch``, the clause quadratics from
+``clause_quantities_batch``) evaluate the same formulas column-wise in
+numpy instead: numpy may fuse a multiply-add where Python rounds twice,
+and the order of the quartic's equal-multiplicity roots depends on those
+last bits.  Inputs and outputs are numpy arrays.
 
 Verdict codes used by ``tri_codes_batch``:
 
@@ -20,8 +26,6 @@ code  meaning
 
 import numpy as np
 
-from .backend import USE_NUMBA, jit
-
 CODE_ZERO = 0
 CODE_SEP = 1
 CODE_B1 = 2
@@ -32,145 +36,60 @@ CODE_GHZ = 6
 CODE_AMBIGUOUS = 7
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy versions
+def _ghz(a0, a1, a2, a3, a4, a5, a6, a7):
+    """GHZ criterion polynomial of one row, or column-wise of eight columns."""
+    s = a0 * a7 - a2 * a5 + a1 * a6 - a3 * a4
+    return s * s - 4.0 * (a2 * a4 - a0 * a6) * (a3 * a5 - a1 * a7)
 
-def _ghz_invariant_np(a):
-    s = a[:, 0] * a[:, 7] - a[:, 2] * a[:, 5] + a[:, 1] * a[:, 6] - a[:, 3] * a[:, 4]
-    return s * s - 4.0 * (a[:, 2] * a[:, 4] - a[:, 0] * a[:, 6]) * (
-        a[:, 3] * a[:, 5] - a[:, 1] * a[:, 7]
+
+def _clauses(a0, a1, a2, a3, a4, a5, a6, a7):
+    """The six clause quantities of one row (or column-wise), two per clause."""
+    return (
+        a0 * a3 - a1 * a2,
+        a5 * a6 - a4 * a7,
+        a1 * a4 - a0 * a5,
+        a3 * a6 - a2 * a7,
+        a3 * a5 - a1 * a7,
+        a2 * a4 - a0 * a6,
     )
 
 
-def _clause_quantities_np(a):
-    q = np.empty((a.shape[0], 6), dtype=np.complex128)
-    q[:, 0] = a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]
-    q[:, 1] = a[:, 5] * a[:, 6] - a[:, 4] * a[:, 7]
-    q[:, 2] = a[:, 1] * a[:, 4] - a[:, 0] * a[:, 5]
-    q[:, 3] = a[:, 3] * a[:, 6] - a[:, 2] * a[:, 7]
-    q[:, 4] = a[:, 3] * a[:, 5] - a[:, 1] * a[:, 7]
-    q[:, 5] = a[:, 2] * a[:, 4] - a[:, 0] * a[:, 6]
-    return q
+def ghz_invariant_batch(a):
+    """GHZ criterion polynomial of each row of a (N, 8) array."""
+    return _ghz(*a.T)
 
 
-def _tri_codes_np(a, eps):
-    scale = np.abs(a).max(axis=1)
-    t = _ghz_invariant_np(a)
-    q = np.abs(_clause_quantities_np(a))
+def clause_quantities_batch(a):
+    """The six clause quantities of each row of a (N, 8) array, as (N, 6)."""
+    return np.stack(_clauses(*a.T), axis=1)
+
+
+def _tri_code(row, eps):
+    scale = max(map(abs, row))
+    if scale == 0.0:
+        return CODE_ZERO
+    if abs(_ghz(*row)) > eps * scale**4:
+        return CODE_GHZ
     thresh2 = eps * scale * scale
-    c1 = (q[:, 0] > thresh2) | (q[:, 1] > thresh2)
-    c2 = (q[:, 2] > thresh2) | (q[:, 3] > thresh2)
-    c3 = (q[:, 4] > thresh2) | (q[:, 5] > thresh2)
-    ntrue = c1.astype(np.int8) + c2 + c3
-    codes = np.full(a.shape[0], CODE_SEP, dtype=np.int8)
-    codes[ntrue == 3] = CODE_W
-    codes[ntrue == 2] = CODE_AMBIGUOUS
-    one = ntrue == 1
-    codes[one & c1] = CODE_B1
-    codes[one & c2] = CODE_B2
-    codes[one & c3] = CODE_B3
-    codes[np.abs(t) > eps * scale**4] = CODE_GHZ
-    codes[scale == 0.0] = CODE_ZERO
-    return codes
+    q0, q1, q2, q3, q4, q5 = map(abs, _clauses(*row))
+    c1 = q0 > thresh2 or q1 > thresh2
+    c2 = q2 > thresh2 or q3 > thresh2
+    c3 = q4 > thresh2 or q5 > thresh2
+    ntrue = c1 + c2 + c3
+    if ntrue == 3:
+        return CODE_W
+    if ntrue == 0:
+        return CODE_SEP
+    if ntrue == 2:
+        return CODE_AMBIGUOUS
+    return CODE_B1 if c1 else (CODE_B2 if c2 else CODE_B3)
 
 
-def _pencil_elements_np(phi0, phi1, xy):
+def tri_codes_batch(a, eps):
+    """Verdict code of each row of a (N, 8) array (see the table above)."""
+    return np.array([_tri_code(row, eps) for row in a.tolist()], dtype=np.int8)
+
+
+def pencil_elements(phi0, phi1, xy):
+    """Rows ``x phi0 + y phi1`` for each (x, y) row of a (N, 2) array."""
     return xy[:, 0, None] * phi0[None, :] + xy[:, 1, None] * phi1[None, :]
-
-
-# ---------------------------------------------------------------------------
-# numba loop versions (same arithmetic, one point per iteration)
-
-def _ghz_invariant_loop(a):
-    n = a.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        s = a[i, 0] * a[i, 7] - a[i, 2] * a[i, 5] + a[i, 1] * a[i, 6] - a[i, 3] * a[i, 4]
-        out[i] = s * s - 4.0 * (a[i, 2] * a[i, 4] - a[i, 0] * a[i, 6]) * (
-            a[i, 3] * a[i, 5] - a[i, 1] * a[i, 7]
-        )
-    return out
-
-
-def _clause_quantities_loop(a):
-    n = a.shape[0]
-    q = np.empty((n, 6), dtype=np.complex128)
-    for i in range(n):
-        q[i, 0] = a[i, 0] * a[i, 3] - a[i, 1] * a[i, 2]
-        q[i, 1] = a[i, 5] * a[i, 6] - a[i, 4] * a[i, 7]
-        q[i, 2] = a[i, 1] * a[i, 4] - a[i, 0] * a[i, 5]
-        q[i, 3] = a[i, 3] * a[i, 6] - a[i, 2] * a[i, 7]
-        q[i, 4] = a[i, 3] * a[i, 5] - a[i, 1] * a[i, 7]
-        q[i, 5] = a[i, 2] * a[i, 4] - a[i, 0] * a[i, 6]
-    return q
-
-
-def _tri_codes_loop(a, eps):
-    n = a.shape[0]
-    codes = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        scale = 0.0
-        for j in range(8):
-            m = abs(a[i, j])
-            if m > scale:
-                scale = m
-        if scale == 0.0:
-            codes[i] = CODE_ZERO
-            continue
-        s = a[i, 0] * a[i, 7] - a[i, 2] * a[i, 5] + a[i, 1] * a[i, 6] - a[i, 3] * a[i, 4]
-        t = s * s - 4.0 * (a[i, 2] * a[i, 4] - a[i, 0] * a[i, 6]) * (
-            a[i, 3] * a[i, 5] - a[i, 1] * a[i, 7]
-        )
-        if abs(t) > eps * scale**4:
-            codes[i] = CODE_GHZ
-            continue
-        thresh2 = eps * scale * scale
-        c1 = (
-            abs(a[i, 0] * a[i, 3] - a[i, 1] * a[i, 2]) > thresh2
-            or abs(a[i, 5] * a[i, 6] - a[i, 4] * a[i, 7]) > thresh2
-        )
-        c2 = (
-            abs(a[i, 1] * a[i, 4] - a[i, 0] * a[i, 5]) > thresh2
-            or abs(a[i, 3] * a[i, 6] - a[i, 2] * a[i, 7]) > thresh2
-        )
-        c3 = (
-            abs(a[i, 3] * a[i, 5] - a[i, 1] * a[i, 7]) > thresh2
-            or abs(a[i, 2] * a[i, 4] - a[i, 0] * a[i, 6]) > thresh2
-        )
-        ntrue = int(c1) + int(c2) + int(c3)
-        if ntrue == 3:
-            codes[i] = CODE_W
-        elif ntrue == 0:
-            codes[i] = CODE_SEP
-        elif ntrue == 2:
-            codes[i] = CODE_AMBIGUOUS
-        elif c1:
-            codes[i] = CODE_B1
-        elif c2:
-            codes[i] = CODE_B2
-        else:
-            codes[i] = CODE_B3
-    return codes
-
-
-def _pencil_elements_loop(phi0, phi1, xy):
-    n = xy.shape[0]
-    out = np.empty((n, 8), dtype=np.complex128)
-    for i in range(n):
-        x = xy[i, 0]
-        y = xy[i, 1]
-        for j in range(8):
-            out[i, j] = x * phi0[j] + y * phi1[j]
-    return out
-
-
-if USE_NUMBA:
-    ghz_invariant_batch = jit(_ghz_invariant_loop)
-    clause_quantities_batch = jit(_clause_quantities_loop)
-    tri_codes_batch = jit(_tri_codes_loop)
-    pencil_elements = jit(_pencil_elements_loop)
-else:
-    ghz_invariant_batch = _ghz_invariant_np
-    clause_quantities_batch = _clause_quantities_np
-    tri_codes_batch = _tri_codes_np
-    pencil_elements = _pencil_elements_np

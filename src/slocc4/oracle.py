@@ -12,7 +12,6 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from .backend import USE_NUMBA, jit
 from .errors import Slocc4Error, ZeroState
 from .pencil import ProjectivePoint, SpanProfile
 from .qstate import DEFAULT_EPS, PureState
@@ -42,33 +41,8 @@ _ROWS = (
 )
 
 
-def _hyperdet_loop(a):
-    """Expanded 12-term arrangement of the degree-4 invariant."""
-    n = a.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        a0, a1, a2, a3 = a[i, 0], a[i, 1], a[i, 2], a[i, 3]
-        a4, a5, a6, a7 = a[i, 4], a[i, 5], a[i, 6], a[i, 7]
-        out[i] = (
-            a0 * a0 * a7 * a7
-            + a1 * a1 * a6 * a6
-            + a2 * a2 * a5 * a5
-            + a3 * a3 * a4 * a4
-            - 2.0
-            * (
-                a0 * a1 * a6 * a7
-                + a0 * a2 * a5 * a7
-                + a0 * a3 * a4 * a7
-                + a1 * a2 * a5 * a6
-                + a1 * a3 * a4 * a6
-                + a2 * a3 * a4 * a5
-            )
-            + 4.0 * (a0 * a3 * a5 * a6 + a1 * a2 * a4 * a7)
-        )
-    return out
-
-
-def _hyperdet_np(a):
+def _hyperdet_batch(a):
+    """Expanded 12-term arrangement of the degree-4 invariant, per row."""
     a0, a1, a2, a3, a4, a5, a6, a7 = (a[:, j] for j in range(8))
     return (
         a0**2 * a7**2
@@ -88,62 +62,15 @@ def _hyperdet_np(a):
     )
 
 
-def _rank_ratios_loop(a):
-    """Per qubit, sigma_min/sigma_max of the 2x4 reduced amplitude matrix.
+def _rank_ratios_batch(a):
+    """Per row and qubit, sigma_min/sigma_max of the 2x4 reduced amplitude
+    matrix.
 
     The Gram determinant is accumulated as the sum of squared 2x2 minors
     (Cauchy-Binet), which is cancellation-free, so the ratio resolves all
     the way down to ~1e-16 instead of hitting the sqrt(machine eps) floor
     of a subtractive eigenvalue formula.
     """
-    n = a.shape[0]
-    out = np.empty((n, 3), dtype=np.float64)
-    for i in range(n):
-        for j in range(3):
-            g00 = 0.0
-            g11 = 0.0
-            g01 = 0.0 + 0.0j
-            det = 0.0
-            for k in range(4):
-                if j == 0:
-                    i0 = k
-                    i1 = k + 4
-                elif j == 1:
-                    i0 = (k & 1) + 4 * (k >> 1)
-                    i1 = i0 + 2
-                else:
-                    i0 = 2 * k
-                    i1 = 2 * k + 1
-                u = a[i, i0]
-                v = a[i, i1]
-                g00 += u.real * u.real + u.imag * u.imag
-                g11 += v.real * v.real + v.imag * v.imag
-                g01 += u * v.conjugate()
-                for m in range(k + 1, 4):
-                    if j == 0:
-                        m0 = m
-                        m1 = m + 4
-                    elif j == 1:
-                        m0 = (m & 1) + 4 * (m >> 1)
-                        m1 = m0 + 2
-                    else:
-                        m0 = 2 * m
-                        m1 = 2 * m + 1
-                    minor = u * a[i, m1] - a[i, m0] * v
-                    det += minor.real * minor.real + minor.imag * minor.imag
-            tr = g00 + g11
-            if tr == 0.0:
-                out[i, j] = 0.0
-                continue
-            disc = math.sqrt(
-                max((g00 - g11) * (g00 - g11) + 4.0 * abs(g01) ** 2, 0.0)
-            )
-            lmax = 0.5 * (tr + disc)
-            out[i, j] = math.sqrt(det) / lmax
-    return out
-
-
-def _rank_ratios_np(a):
     out = np.empty((a.shape[0], 3), dtype=np.float64)
     for j, (r0, r1) in enumerate(_ROWS):
         u = a[:, r0]
@@ -160,14 +87,6 @@ def _rank_ratios_np(a):
             ratio = np.where(lmax > 0.0, np.sqrt(np.clip(det, 0.0, None)) / lmax, 0.0)
         out[:, j] = ratio
     return out
-
-
-if USE_NUMBA:
-    _hyperdet_batch = jit(_hyperdet_loop)
-    _rank_ratios_batch = jit(_rank_ratios_loop)
-else:
-    _hyperdet_batch = _hyperdet_np
-    _rank_ratios_batch = _rank_ratios_np
 
 
 def rank_codes_batch(a: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:

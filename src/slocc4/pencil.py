@@ -25,7 +25,7 @@ from .errors import (
     InternalContradiction,
     ZeroState,
 )
-from .qstate import DEFAULT_EPS, PureState
+from .qstate import DEFAULT_EPS, PureState, _herm2_eigs
 from .tri import TriClass, classify3_batch, classify3_exact_amps
 
 _PROBE_SEED = 20260809
@@ -167,9 +167,13 @@ def _check_inputs(phi0, phi1):
     return p0, p1
 
 
+#: Interpolation nodes (x, y) of the quartic and of the clause quadratics.
+_QUARTIC_NODES = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 2]], dtype=np.complex128)
+_QUADRATIC_NODES = _QUARTIC_NODES[:3]
+
+
 def _ghz_at_nodes(p0, p1):
-    nodes = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 2]], dtype=np.complex128)
-    elems = kernels.pencil_elements(p0, p1, nodes)
+    elems = kernels.pencil_elements(p0, p1, _QUARTIC_NODES)
     return kernels.ghz_invariant_batch(elems)
 
 
@@ -198,8 +202,7 @@ def clause_quadratics(phi0, phi1, exact: bool = False) -> tuple:
     """The six clause quantities as quadratic forms on the pencil, grouped
     into the three clause pairs."""
     p0, p1 = _check_inputs(phi0, phi1)
-    nodes = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.complex128)
-    q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, nodes))
+    q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, _QUADRATIC_NODES))
     alpha, gamma = q[0], q[1]
     beta = q[2] - alpha - gamma
     scale = max(float(np.abs(p0).max()), float(np.abs(p1).max()))
@@ -250,8 +253,24 @@ def _raw_projective_roots(coeffs, eps: float) -> list:
             ProjectivePoint(r, 1, 1) for r in _quadratic_formula(*tail)
         )
     elif len(tail) > 3:
-        points.extend(ProjectivePoint(r, 1, 1) for r in np.roots(tail))
+        points.extend(ProjectivePoint(r, 1, 1) for r in _companion_roots(tail))
     return points
+
+
+def _companion_roots(p) -> list:
+    """Roots of a polynomial (highest power first) exactly as ``np.roots``
+    finds them: eigenvalues of the companion matrix of the coefficients
+    stripped of leading and trailing zeros, then one zero per trailing
+    zero."""
+    nonzero = np.flatnonzero(p)
+    trailing = len(p) - 1 - int(nonzero[-1])
+    p = p[int(nonzero[0]) : int(nonzero[-1]) + 1]
+    roots = []
+    if len(p) > 1:
+        companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+        companion[0, :] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion).tolist()
+    return roots + [0j] * trailing
 
 
 def _projective_roots(coeffs, eps: float) -> list:
@@ -298,28 +317,31 @@ def _merge_root_groups(points, eps: float) -> list:
     perturbation, so a group of total multiplicity M is merged when its
     chordal diameter fits within eps^(1/M); for simple pairs this reduces
     to the sqrt(eps) radius.  Largest consistent groups are merged first.
+    No group can merge once every pairwise distance exceeds the radius of
+    the largest total multiplicity.
     """
     pts = list(points)
-    merged = True
-    while merged and len(pts) > 1:
-        merged = False
+    while len(pts) > 1:
+        dist = {
+            pair: pts[pair[0]].chordal(pts[pair[1]])
+            for pair in combinations(range(len(pts)), 2)
+        }
+        if min(dist.values()) > eps ** (1.0 / sum(p.multiplicity for p in pts)):
+            break
+        best = None
         for size in range(len(pts), 1, -1):
-            best = None
             for subset in combinations(range(len(pts)), size):
-                group = [pts[i] for i in subset]
-                total = sum(p.multiplicity for p in group)
-                diam = max(
-                    a.chordal(b) for a, b in combinations(group, 2)
-                )
+                total = sum(pts[i].multiplicity for i in subset)
+                diam = max(dist[pair] for pair in combinations(subset, 2))
                 if diam <= eps ** (1.0 / total) and (best is None or diam < best[0]):
                     best = (diam, subset)
             if best is not None:
-                subset = set(best[1])
-                group = [pts[i] for i in sorted(subset)]
-                rest = [p for i, p in enumerate(pts) if i not in subset]
-                pts = rest + cluster_points(group, 2.0)
-                merged = True
                 break
+        if best is None:
+            break
+        group = [pts[i] for i in best[1]]
+        rest = [p for i, p in enumerate(pts) if i not in best[1]]
+        pts = rest + cluster_points(group, 2.0)
     return pts
 
 
@@ -423,12 +445,8 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
 
 
 def _span_dim2_or_raise(p0, p1, eps):
-    g00 = float(np.vdot(p0, p0).real)
-    g11 = float(np.vdot(p1, p1).real)
-    g01 = complex(np.vdot(p1, p0))
-    tr = g00 + g11
-    disc = ((g00 - g11) ** 2 + 4.0 * (g01.real**2 + g01.imag**2)) ** 0.5
-    if 0.5 * (tr - disc) <= eps * 0.5 * (tr + disc):
+    lo, hi = _herm2_eigs(p0, p1)
+    if lo <= eps * hi:
         raise DegeneratePencil("spanning vectors are linearly dependent")
 
 
@@ -621,7 +639,7 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx, exact):
         candidates.extend(_quadratic_roots(fb, eps))
 
     centroids = [
-        ProjectivePoint(pt.x, pt.y, 1)
+        pt if pt.multiplicity == 1 else ProjectivePoint(pt.x, pt.y, 1)
         for pt in cluster_points(candidates, math.sqrt(eps))
     ]
     classes = _classify_points(p0, p1, centroids, eps)

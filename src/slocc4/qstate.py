@@ -38,7 +38,7 @@ class PureState:
             raise DimensionMismatch(
                 f"amplitude vector of length {size} is not a 1..4 qubit state"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise StateFormatError("amplitudes must be finite")
         arr.setflags(write=False)
         self.n = n
@@ -51,7 +51,7 @@ class PureState:
         return float(np.linalg.norm(self.amps))
 
     def is_zero(self) -> bool:
-        return self.max_abs() == 0.0
+        return not self.amps.any()
 
     def reshaped(self):
         """Amplitudes viewed as a (2,)*n tensor, one axis per qubit."""
@@ -156,11 +156,10 @@ def decompose(state: PureState, distinguished: int) -> Decomposition:
         raise DimensionMismatch(
             f"distinguished qubit {distinguished} out of range 1..{state.n}"
         )
-    arr = np.moveaxis(state.reshaped(), distinguished - 1, 0)
-    half = 2 ** (state.n - 1)
+    rows = state.amps[_SPLIT_INDEX[state.n, distinguished]]
     return Decomposition(
-        phi0=PureState(arr[0].reshape(half)),
-        phi1=PureState(arr[1].reshape(half)),
+        phi0=PureState(rows[0]),
+        phi1=PureState(rows[1]),
         distinguished=distinguished,
     )
 
@@ -208,61 +207,74 @@ def span_dimension(d: Decomposition, eps: float = DEFAULT_EPS) -> int:
 #: the row side of the reshaped amplitude matrix.
 BIPARTITIONS = ((1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4))
 
-_CUT_AXES = {
-    (1,): (0, 1, 2, 3),
-    (2,): (1, 0, 2, 3),
-    (3,): (2, 0, 1, 3),
-    (4,): (3, 0, 1, 2),
-    (1, 2): (0, 1, 2, 3),
-    (1, 3): (0, 2, 1, 3),
-    (1, 4): (0, 3, 1, 2),
-}
+
+def _split_index(n: int, qubits) -> np.ndarray:
+    """Amplitude indices of an n-qubit state as a matrix whose rows are
+    indexed by the given (1-based) qubits, the other qubits in order along
+    the columns."""
+    first = [q - 1 for q in qubits]
+    axes = first + [k for k in range(n) if k not in first]
+    tensor = np.arange(2**n).reshape((2,) * n).transpose(axes)
+    return tensor.reshape(2 ** len(first), -1)
+
+
+_SPLIT_INDEX = {(n, k): _split_index(n, (k,)) for n in (2, 3, 4) for k in range(1, n + 1)}
+_CUT_INDEX = {cut: _split_index(4, cut) for cut in BIPARTITIONS}
+#: (3, 4, 4): the amplitude matrices of the three pair cuts.
+_PAIR_CUTS = np.stack([_CUT_INDEX[cut] for cut in BIPARTITIONS[4:]])
+
+
+def _minor_terms():
+    """Indices into the flattened 16x16 outer product of the amplitudes
+    with themselves that pick the two products u_j v_k and u_k v_j of every
+    2x2 minor (j < k) of the four single-qubit 2x8 cut matrices [u; v]:
+    two (4, 28) arrays, one row per cut."""
+    j, k = np.triu_indices(8, 1)
+    u, v = np.stack([_CUT_INDEX[cut] for cut in BIPARTITIONS[:4]]).transpose(1, 0, 2)
+    left = u[:, j] * 16 + v[:, k]
+    right = u[:, k] * 16 + v[:, j]
+    return np.ascontiguousarray(left), np.ascontiguousarray(right)
+
+
+_MINOR_LEFT, _MINOR_RIGHT = _minor_terms()
 
 
 def cut_matrix(state: PureState, cut) -> np.ndarray:
     """Amplitude matrix of a 4-qubit state reshaped along the given cut."""
     if state.n != 4:
         raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
-    cut = tuple(cut)
-    rows = 2 ** len(cut)
-    return state.reshaped().transpose(_CUT_AXES[cut]).reshape(rows, 16 // rows)
+    return state.amps[_CUT_INDEX[tuple(cut)]]
 
 
-def _two_row_sv_ratio(m: np.ndarray) -> float:
-    """sigma_min/sigma_max of a 2-row matrix, cancellation-free.
+def _single_cut_ratios(amps: np.ndarray) -> list:
+    """sigma_min/sigma_max of the four single-qubit 2x8 cut matrices,
+    cancellation-free.
 
-    The product sigma_1 sigma_2 is the square root of the Gram determinant,
-    accumulated as a sum of squared 2x2 minors so that exact rank
-    deficiency is resolved to ~1e-16 rather than sqrt(machine eps).
+    The product sigma_1^2 sigma_2^2 is the Gram determinant, accumulated as
+    a sum of squared 2x2 minors so that exact rank deficiency is resolved
+    to ~1e-16 rather than sqrt(machine eps); the sum sigma_1^2 + sigma_2^2
+    is the squared norm of the state, the same for every cut.
     """
-    u, v = m[0], m[1]
-    g00 = float(np.vdot(u, u).real)
-    g11 = float(np.vdot(v, v).real)
-    g01 = complex(np.vdot(v, u))
-    tr = g00 + g11
-    if tr == 0.0:
-        return 0.0
-    outer = np.multiply.outer(u, v)
-    minors = outer - outer.T
-    det = 0.5 * float(np.vdot(minors, minors).real)
-    disc = ((g00 - g11) ** 2 + 4.0 * (g01.real**2 + g01.imag**2)) ** 0.5
-    lmax = 0.5 * (tr + disc)
-    return max(det, 0.0) ** 0.5 / lmax
+    outer = np.multiply.outer(amps, amps).reshape(-1)
+    minors = (outer[_MINOR_LEFT] - outer[_MINOR_RIGHT]).view(np.float64)
+    tr = float(np.vdot(amps, amps).real)
+    ratios = []
+    for det in (minors * minors).sum(axis=1).tolist():
+        lmax = 0.5 * (tr + max(tr * tr - 4.0 * det, 0.0) ** 0.5)
+        ratios.append(det**0.5 / lmax if lmax > 0.0 else 0.0)
+    return ratios
 
 
 def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> dict:
     """Numerical rank of the amplitude matrix along each of the 7 cuts."""
     if state.is_zero():
         raise ZeroState("cannot rank the zero state")
-    ranks = {}
-    for cut in BIPARTITIONS[:4]:
-        ratio = _two_row_sv_ratio(cut_matrix(state, cut))
-        ranks[cut] = 2 if ratio > eps else 1
-    stack = np.stack([cut_matrix(state, cut) for cut in BIPARTITIONS[4:]])
-    sv = np.linalg.svd(stack, compute_uv=False)
-    for i, cut in enumerate(BIPARTITIONS[4:]):
-        ranks[cut] = int(np.sum(sv[i] > eps * sv[i][0]))
-    return ranks
+    if state.n != 4:
+        raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
+    single = [2 if ratio > eps else 1 for ratio in _single_cut_ratios(state.amps)]
+    sv = np.linalg.svd(state.amps[_PAIR_CUTS], compute_uv=False)
+    pair = (sv > eps * sv[:, :1]).sum(axis=1).tolist()
+    return dict(zip(BIPARTITIONS, single + pair))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +321,11 @@ def load_state(fp) -> PureState:
     if hasattr(fp, "read"):
         text = fp.read()
     else:
-        with open(fp, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(fp, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise StateFormatError(f"cannot read {fp}: {exc.strerror or exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

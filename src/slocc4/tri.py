@@ -52,15 +52,13 @@ class TriClass(enum.Enum):
     @property
     def cut(self):
         """The separated qubit for biseparable classes, else None."""
-        return {
-            TriClass.BISEP1: 1,
-            TriClass.BISEP2: 2,
-            TriClass.BISEP3: 3,
-        }.get(self)
+        return _BISEP_CUT.get(self)
 
     def __str__(self):
         return self.value
 
+
+_BISEP_CUT = {TriClass.BISEP1: 1, TriClass.BISEP2: 2, TriClass.BISEP3: 3}
 
 _CODE_TO_CLASS = {
     kernels.CODE_ZERO: TriClass.ZERO,
@@ -117,13 +115,13 @@ def _class_from_code(code: int, where="state") -> TriClass:
             f"exactly two W-condition clauses are true for {where}; "
             "the tolerance straddles a class boundary (consider exact mode)"
         )
-    return _CODE_TO_CLASS[int(code)]
+    return _CODE_TO_CLASS[code]
 
 
 def classify3_batch(amps: np.ndarray, eps: float = DEFAULT_EPS) -> list:
     """Classify a (N, 8) batch of amplitude rows."""
     codes = kernels.tri_codes_batch(np.ascontiguousarray(amps, dtype=np.complex128), eps)
-    return [_class_from_code(c, f"row {i}") for i, c in enumerate(codes)]
+    return [_class_from_code(c, f"row {i}") for i, c in enumerate(codes.tolist())]
 
 
 def _exact_code(lifted) -> int:

@@ -1,6 +1,4 @@
 import json
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -106,6 +104,15 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "slocc4" in err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_classify_unreadable_path(tmp_path, capsys, name):
+    # a missing file and a directory both end in one stderr line, exit 1
+    code, out, err = run_cli(capsys, "classify", str(tmp_path / name))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("slocc4: cannot read") and err.count("\n") == 1
 
 
 def test_classify_zero_state(tmp_path, capsys):
@@ -218,17 +225,3 @@ def test_exact_matches_numeric_on_fixtures(tmp_path, capsys):
         code_e, out_e, _ = run_cli(capsys, "classify", str(path), "--exact")
         assert code_n == code_e == 0
         assert json.loads(out_n)["class"] == json.loads(out_e)["class"] == tag
-
-
-def test_numpy_backend_subprocess(tmp_path):
-    # the pure-numpy fallback must produce the same verdict end to end
-    amps = np.zeros(16)
-    amps[0] = amps[15] = 1
-    path = write_state(tmp_path, amps)
-    env = dict(os.environ, SLOCC4_BACKEND="numpy")
-    proc = subprocess.run(
-        [sys.executable, "-m", "slocc4.cli", "classify", path],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["class"] == "W000_000"

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from slocc4 import (
     quartic_roots,
 )
 from slocc4.canonical import FamilySpec, canonical_pencil, okpsi_w_phi0, ww_phi0
-from slocc4.pencil import QuarticForm, cluster_points, common_roots
+from slocc4.pencil import QuarticForm, _polish_multiple_root, cluster_points, common_roots
 from slocc4.qstate import PureState
 
 from conftest import GHZ3, W3, iva1_phi0
@@ -131,6 +133,99 @@ class TestQuarticRoots:
         q = QuarticForm(c=np.zeros(5, dtype=complex), amp_scale=1.0)
         with pytest.raises(IdenticallyZero):
             quartic_roots(q)
+
+
+def reference_quartic_roots(c, eps=1e-9):
+    """quartic_roots as first written: np.roots for the finite roots and an
+    exhaustive subset search for the multiplicity-aware merge."""
+    cmax = float(np.abs(c).max())
+    k = 0
+    while k < len(c) - 1 and abs(c[k]) <= eps * cmax:
+        k += 1
+    pts = [ProjectivePoint(1, 0, 1) for _ in range(k)]
+    pts.extend(ProjectivePoint(r, 1, 1) for r in np.roots(c[k:]))
+    merged = True
+    while merged and len(pts) > 1:
+        merged = False
+        for size in range(len(pts), 1, -1):
+            best = None
+            for subset in combinations(range(len(pts)), size):
+                group = [pts[i] for i in subset]
+                total = sum(p.multiplicity for p in group)
+                diam = max(a.chordal(b) for a, b in combinations(group, 2))
+                if diam <= eps ** (1.0 / total) and (best is None or diam < best[0]):
+                    best = (diam, subset)
+            if best is not None:
+                group = [pts[i] for i in best[1]]
+                rest = [p for i, p in enumerate(pts) if i not in best[1]]
+                pts = rest + cluster_points(group, 2.0)
+                merged = True
+                break
+    return [_polish_multiple_root(c, pt, eps) for pt in pts]
+
+
+def form_with_roots(roots):
+    """Coefficients (highest power of x first) of prod (b x - a y) over the
+    projective roots (a : b)."""
+    c = np.ones(1, dtype=complex)
+    for a, b in roots:
+        c = np.convolve(c, [b, -a])
+    return c
+
+
+def spread(center, diameter, count):
+    """``count`` affine roots (t : 1) around ``center`` whose chordal
+    diameter is ``diameter`` (to first order in the offsets)."""
+    offsets = 1e-6 * np.exp(2j * np.pi * np.arange(count) / count)
+    pts = [ProjectivePoint(center + d, 1) for d in offsets]
+    scale = diameter / max(a.chordal(b) for a, b in combinations(pts, 2))
+    return [(center + d * scale, 1) for d in offsets]
+
+
+EPS = 1e-9
+#: name -> (roots, expected sorted multiplicities, localization tolerance)
+ROOT_CASES = {
+    "one_at_infinity": ([(1, 0), (0.3, 1), (-1 + 1j, 1), (2j, 1)], [1, 1, 1, 1], 1e-8),
+    "two_at_infinity": ([(1, 0), (1, 0), (0.5 - 0.5j, 1), (-2, 1)], [1, 1, 2], 1e-8),
+    "one_at_zero": ([(0, 1), (0.3, 1), (-1 + 1j, 1), (2j, 1)], [1, 1, 1, 1], 1e-8),
+    "two_at_zero": ([(0, 1), (0, 1), (0.5 - 0.5j, 1), (-2, 1)], [1, 1, 2], 1e-8),
+}
+# groups of total multiplicity M spread to just inside and just outside the
+# merge radius eps^(1/M)
+for name, factor in (("inside", 0.8), ("outside", 1.25)):
+    merged = name == "inside"
+    d2, d3, d4 = (factor * EPS ** (1 / m) for m in (2, 3, 4))
+    ROOT_CASES[f"2+2_{name}"] = (
+        spread(0.4 + 0.1j, d2, 2) + spread(-1.5 + 0.7j, d2, 2),
+        [2, 2] if merged else [1, 1, 1, 1],
+        d2,
+    )
+    ROOT_CASES[f"3+1_{name}"] = (
+        spread(0.2 - 0.6j, d3, 3) + [(1.7, 1)],
+        [1, 3] if merged else [1, 1, 1, 1],
+        d3,
+    )
+    ROOT_CASES[f"4_{name}"] = (
+        spread(-0.3 + 0.2j, d4, 4),
+        [4] if merged else [1, 1, 1, 1],
+        d4,
+    )
+
+
+class TestQuarticRootsReference:
+    @pytest.mark.parametrize("case", sorted(ROOT_CASES))
+    def test_matches_reference(self, case):
+        roots, multiplicities, tol = ROOT_CASES[case]
+        c = form_with_roots(roots)
+        got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
+        want = reference_quartic_roots(c, EPS)
+        assert [p.multiplicity for p in got] == [p.multiplicity for p in want]
+        assert sorted(p.multiplicity for p in got) == multiplicities
+        for p, q in zip(got, want):
+            assert p.chordal(q) <= 1e-12
+        for a, b in roots:
+            target = ProjectivePoint(a, b)
+            assert min(p.chordal(target) for p in got) <= tol
 
 
 class TestClauseQuadratics:

@@ -189,6 +189,8 @@ def test_bipartition_ranks_slocc_invariant():
         assert bipartition_ranks(img, eps=1e-8) == want
     with pytest.raises(ZeroState):
         bipartition_ranks(PureState(np.zeros(16)))
+    with pytest.raises(DimensionMismatch):
+        bipartition_ranks(PureState(np.ones(8)))
 
 
 def test_permute_qubits():
