@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_EXIT_ERROR)
 
 
+def _eps(text: str) -> float:
+    """argparse type of --eps: a number strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not 0.0 < value < 1.0:  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text!r}")
+    return value
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
@@ -251,8 +262,8 @@ def _build_parser() -> _Parser:
         if state_arg:
             p.add_argument("state", nargs="?", default="-",
                            help="state JSON file, or - for stdin (default)")
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="relative tolerance (default 1e-9)")
+        p.add_argument("--eps", type=_eps, default=DEFAULT_EPS,
+                       help="relative tolerance in (0, 1) (default 1e-9)")
         p.add_argument("--exact", action="store_true",
                        help="perform all zero tests in exact rational arithmetic")
 
@@ -280,7 +291,8 @@ def _build_parser() -> _Parser:
                             help="verify no pencil of two GHZ images is all-GHZ")
     p_fuzz.add_argument("--trials", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, default=None)
-    p_fuzz.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p_fuzz.add_argument("--eps", type=_eps, default=DEFAULT_EPS,
+                        help="relative tolerance in (0, 1) (default 1e-9)")
     p_fuzz.add_argument("--pin-ghz", action="store_true",
                         help="keep the second basis vector as the exact GHZ state")
     p_fuzz.add_argument("--exact", action="store_true",

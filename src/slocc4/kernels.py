@@ -35,6 +35,22 @@ CODE_W = 5
 CODE_GHZ = 6
 CODE_AMBIGUOUS = 7
 
+#: Largest amplitude magnitudes in [SCALE_LO, SCALE_HI] keep every
+#: degree-4 quantity of the classifier, and its rounding error, inside the
+#: normal float range, so there a rescaling by 2**k changes no decision.
+#: Entry points move states outside the window into it by an exact power
+#: of two (``pow2_scaled``).
+SCALE_LO = 2.0**-200
+SCALE_HI = 2.0**200
+
+
+def pow2_scaled(a, scale):
+    """The complex array ``a`` times the power of two that brings ``scale``
+    (its largest magnitude, nonzero) into [0.5, 1).  Exact, except for
+    entries pushed below the normal float range."""
+    floats = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return np.ldexp(floats, -np.frexp(scale)[1]).view(np.complex128)
+
 
 def _ghz(a0, a1, a2, a3, a4, a5, a6, a7):
     """GHZ criterion polynomial of one row, or column-wise of eight columns."""
@@ -68,6 +84,9 @@ def _tri_code(row, eps):
     scale = max(map(abs, row))
     if scale == 0.0:
         return CODE_ZERO
+    if not SCALE_LO <= scale <= SCALE_HI:
+        row = pow2_scaled(np.array(row), scale).tolist()
+        scale = max(map(abs, row))
     if abs(_ghz(*row)) > eps * scale**4:
         return CODE_GHZ
     thresh2 = eps * scale * scale

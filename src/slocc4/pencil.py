@@ -158,13 +158,16 @@ def _amps_of(state) -> np.ndarray:
 
 
 def _check_inputs(phi0, phi1):
+    """The two pencil vectors as arrays, with their largest magnitudes."""
     p0 = _amps_of(phi0)
     p1 = _amps_of(phi1)
-    if not p0.any():
+    s0 = float(np.abs(p0).max())
+    s1 = float(np.abs(p1).max())
+    if s0 == 0.0:
         raise ZeroState("phi0 is the zero vector")
-    if not p1.any():
+    if s1 == 0.0:
         raise ZeroState("phi1 is the zero vector")
-    return p0, p1
+    return p0, p1, s0, s1
 
 
 #: Interpolation nodes (x, y) of the quartic and of the clause quadratics.
@@ -184,7 +187,7 @@ def quartic(phi0, phi1, exact: bool = False) -> QuarticForm:
     endpoint coefficients come from (1,0) and (0,1) alone, so the y^4
     coefficient is exactly the invariant of ``phi1``.
     """
-    p0, p1 = _check_inputs(phi0, phi1)
+    p0, p1, s0, s1 = _check_inputs(phi0, phi1)
     t = _ghz_at_nodes(p0, p1)
     c0, c4 = t[0], t[1]
     u = t[2] - c0 - c4
@@ -193,19 +196,18 @@ def quartic(phi0, phi1, exact: bool = False) -> QuarticForm:
     c2 = (u + v) / 2
     c3 = (w - 3 * u - v) / 6
     c1 = (u - v) / 2 - c3
-    scale = max(float(np.abs(p0).max()), float(np.abs(p1).max()))
     exact_c = _exact.quartic_exact(_exact.lift(p0), _exact.lift(p1)) if exact else None
-    return QuarticForm(c=np.array([c0, c1, c2, c3, c4]), amp_scale=scale, exact=exact_c)
+    return QuarticForm(c=np.array([c0, c1, c2, c3, c4]), amp_scale=max(s0, s1), exact=exact_c)
 
 
 def clause_quadratics(phi0, phi1, exact: bool = False) -> tuple:
     """The six clause quantities as quadratic forms on the pencil, grouped
     into the three clause pairs."""
-    p0, p1 = _check_inputs(phi0, phi1)
+    p0, p1, s0, s1 = _check_inputs(phi0, phi1)
     q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, _QUADRATIC_NODES))
     alpha, gamma = q[0], q[1]
     beta = q[2] - alpha - gamma
-    scale = max(float(np.abs(p0).max()), float(np.abs(p1).max()))
+    scale = max(s0, s1)
     exact_forms = (
         _exact.clause_quadratics_exact(_exact.lift(p0), _exact.lift(p1))
         if exact
@@ -238,11 +240,12 @@ def _raw_projective_roots(coeffs, eps: float) -> list:
     (coefficients with the highest power of x first); roots at infinity
     arise from vanishing leading coefficients."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    cmax = float(np.abs(c).max())
+    mags = np.abs(c).tolist()
+    cmax = max(mags)
     if cmax == 0.0:
         raise IdenticallyZero("form has no roots: all coefficients vanish")
     k = 0
-    while k < len(c) - 1 and abs(c[k]) <= eps * cmax:
+    while k < len(mags) - 1 and mags[k] <= eps * cmax:
         k += 1
     points = [ProjectivePoint(1, 0, 1) for _ in range(k)]
     tail = c[k:]
@@ -262,9 +265,9 @@ def _companion_roots(p) -> list:
     finds them: eigenvalues of the companion matrix of the coefficients
     stripped of leading and trailing zeros, then one zero per trailing
     zero."""
-    nonzero = np.flatnonzero(p)
-    trailing = len(p) - 1 - int(nonzero[-1])
-    p = p[int(nonzero[0]) : int(nonzero[-1]) + 1]
+    nonzero = [i for i, z in enumerate(p.tolist()) if z]
+    trailing = len(p) - 1 - nonzero[-1]
+    p = p[nonzero[0] : nonzero[-1] + 1]
     roots = []
     if len(p) > 1:
         companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
@@ -512,11 +515,16 @@ def analyze_span(
     with irrational parameters rounded to floats), the profile falls back
     to numeric semantics instead of classifying the noise.
     """
-    p0_raw, p1_raw = _check_inputs(phi0, phi1)
+    p0_raw, p1_raw, s0, s1 = _check_inputs(phi0, phi1)
+    top = max(s0, s1)
+    if not kernels.SCALE_LO <= top <= kernels.SCALE_HI:
+        # one exact power of two for both vectors leaves every point in place
+        p0_raw = kernels.pow2_scaled(p0_raw, top)
+        p1_raw = kernels.pow2_scaled(p1_raw, top)
+        s0 = float(np.abs(p0_raw).max())
+        s1 = float(np.abs(p1_raw).max())
     _span_dim2_or_raise(p0_raw, p1_raw, eps)
 
-    s0 = float(np.abs(p0_raw).max())
-    s1 = float(np.abs(p1_raw).max())
     p0 = p0_raw / s0
     p1 = p1_raw / s1
 

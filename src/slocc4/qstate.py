@@ -18,6 +18,7 @@ from .errors import (
     StateFormatError,
     ZeroState,
 )
+from .kernels import SCALE_HI, SCALE_LO, pow2_scaled
 
 DEFAULT_EPS = 1e-9
 
@@ -44,14 +45,20 @@ class PureState:
         self.n = n
         self.amps = arr
 
+    @classmethod
+    def _wrap(cls, amps, n: int) -> "PureState":
+        """A state on an already validated read-only complex128 vector of
+        2**n amplitudes, without copying or checking it again."""
+        state = cls.__new__(cls)
+        state.n = n
+        state.amps = amps
+        return state
+
     def max_abs(self) -> float:
         return float(np.abs(self.amps).max())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def is_zero(self) -> bool:
-        return not self.amps.any()
 
     def reshaped(self):
         """Amplitudes viewed as a (2,)*n tensor, one axis per qubit."""
@@ -157,9 +164,10 @@ def decompose(state: PureState, distinguished: int) -> Decomposition:
             f"distinguished qubit {distinguished} out of range 1..{state.n}"
         )
     rows = state.amps[_SPLIT_INDEX[state.n, distinguished]]
+    rows.setflags(write=False)
     return Decomposition(
-        phi0=PureState(rows[0]),
-        phi1=PureState(rows[1]),
+        phi0=PureState._wrap(rows[0], state.n - 1),
+        phi1=PureState._wrap(rows[1], state.n - 1),
         distinguished=distinguished,
     )
 
@@ -224,19 +232,65 @@ _CUT_INDEX = {cut: _split_index(4, cut) for cut in BIPARTITIONS}
 _PAIR_CUTS = np.stack([_CUT_INDEX[cut] for cut in BIPARTITIONS[4:]])
 
 
-def _minor_terms():
-    """Indices into the flattened 16x16 outer product of the amplitudes
-    with themselves that pick the two products u_j v_k and u_k v_j of every
-    2x2 minor (j < k) of the four single-qubit 2x8 cut matrices [u; v]:
-    two (4, 28) arrays, one row per cut."""
-    j, k = np.triu_indices(8, 1)
-    u, v = np.stack([_CUT_INDEX[cut] for cut in BIPARTITIONS[:4]]).transpose(1, 0, 2)
-    left = u[:, j] * 16 + v[:, k]
-    right = u[:, k] * 16 + v[:, j]
-    return np.ascontiguousarray(left), np.ascontiguousarray(right)
+def _minor_factors():
+    """Amplitude indices of the factors of the two products M[r, c] M[s, d]
+    and M[r, d] M[s, c] of every 2x2 minor (r < s, c < d) of every cut
+    matrix M, as a (2, 440) array: the first 220 columns hold the first
+    products and the last 220 the second, so that their difference lists
+    the 4 x 28 minors of the single-qubit 2x8 cuts and then the 3 x 36
+    minors of the pair 4x4 cuts.  Each pair cut starts with the Laplace
+    terms of its determinant along columns (0, 1): six minors on those
+    columns, signed, then the six on columns (2, 3) of the complementary
+    row pairs, so that det M is the sum of their six products."""
+    laplace = np.concatenate([np.arange(0, 36, 6), np.arange(35, 0, -6)])
+    others = np.ones(36, dtype=bool)
+    others[laplace] = False
+    order = np.concatenate([laplace, np.flatnonzero(others)])
+    negative = [1, 4]  # row pairs (0, 2) and (1, 3)
+    first, second = [], []
+    for cut in BIPARTITIONS:
+        m = _CUT_INDEX[cut]
+        r, s = np.triu_indices(m.shape[0], 1)
+        c, d = np.triu_indices(m.shape[1], 1)
+        r, s = r[:, None], s[:, None]
+        one = np.stack([m[r, c], m[s, d]]).reshape(2, -1)
+        two = np.stack([m[r, d], m[s, c]]).reshape(2, -1)
+        if len(cut) == 2:
+            one, two = one[:, order], two[:, order]
+            one[:, negative], two[:, negative] = two[:, negative], one[:, negative]
+        first.append(one)
+        second.append(two)
+    return np.concatenate(first + second, axis=1)
 
 
-_MINOR_LEFT, _MINOR_RIGHT = _minor_terms()
+_MINOR_FACTORS = _minor_factors()
+_MINOR_COUNT = _MINOR_FACTORS.shape[1] // 2
+#: Floats (real and imaginary parts) of the single-cut minors, which come first.
+_SINGLE_FLOATS = 4 * 28 * 2
+
+# Pair-cut ranks without an SVD.  A pair cut M (4x4) has singular values
+# s1 >= .. >= s4 and t = ||M||_F^2 = ||amps||^2, so s1^2 <= t <= 4 s1^2 and
+#   s4/s1   >= |det M| / s1^4 >= |det M| / t^2,
+#   s2^2/s1^2 <= e2 / s1^4  <= 16 e2 / t^2,  e2 = sum |2x2 minor|^2
+# (Cauchy-Binet: e2 = sum_{i<j} si^2 sj^2 >= s1^2 s2^2).  np.linalg.svd
+# returns singular values off by at most p u s1 (backward stability and
+# Weyl; u = 2^-53, p a small polynomial in the size: at most 4 measured
+# on random and ill-conditioned 4x4 matrices against 40-digit references),
+# so its count of sv > eps sv[0] is 4 when s4/s1 > eps + 2 p u and 1 when
+# s2/s1 < eps - 2 p u, for eps in (0, 1).
+# Rounding (first order in u): each minor is off by at most
+# (sqrt(5) + 1) u (|M_rc M_sd| + |M_rd M_sc|); summed over the six Laplace
+# products that bounds the error of det by 14 u perm|M| <= 14 u t^2, and
+# the error of 4 sqrt(e2) by 13 u t; t itself is off by at most 32 u
+# relative.  So
+#   rank 4 when |det| > T t^2, T = max(K eps, F): s4/s1 > T (1 - 64 u) - 14 u,
+#   rank 1 when eps > F and 16 e2 < (eps/K)^2 t^2: s2/s1 < (eps/K)(1 + 70 u) + 13 u,
+# and both imply LAPACK's count for every eps in (0, 1) as soon as
+# F (1 - 1/K - 64 u) >= (14 + 2 p) u.  K = 1e3 and F = 1e-12 (~4500 u) hold
+# it for p up to 2200; the factor K keeps the decided ranks far from eps.
+# Cuts that neither test decides go to the SVD.
+_RANK_K = 1e3
+_RANK_FLOOR = 1e-12
 
 
 def cut_matrix(state: PureState, cut) -> np.ndarray:
@@ -246,35 +300,70 @@ def cut_matrix(state: PureState, cut) -> np.ndarray:
     return state.amps[_CUT_INDEX[tuple(cut)]]
 
 
-def _single_cut_ratios(amps: np.ndarray) -> list:
-    """sigma_min/sigma_max of the four single-qubit 2x8 cut matrices,
-    cancellation-free.
+#: Squared norms in [_NORM2_LO, _NORM2_HI] put the largest magnitude
+#: (between sqrt(t)/4 and sqrt(t) for 16 amplitudes) inside the window of
+#: ``kernels.SCALE_LO``, ``kernels.SCALE_HI``.
+_NORM2_LO = 16.0 * SCALE_LO**2
+_NORM2_HI = SCALE_HI**2
 
-    The product sigma_1^2 sigma_2^2 is the Gram determinant, accumulated as
-    a sum of squared 2x2 minors so that exact rank deficiency is resolved
-    to ~1e-16 rather than sqrt(machine eps); the sum sigma_1^2 + sigma_2^2
-    is the squared norm of the state, the same for every cut.
-    """
-    outer = np.multiply.outer(amps, amps).reshape(-1)
-    minors = (outer[_MINOR_LEFT] - outer[_MINOR_RIGHT]).view(np.float64)
-    tr = float(np.vdot(amps, amps).real)
-    ratios = []
-    for det in (minors * minors).sum(axis=1).tolist():
-        lmax = 0.5 * (tr + max(tr * tr - 4.0 * det, 0.0) ** 0.5)
-        ratios.append(det**0.5 / lmax if lmax > 0.0 else 0.0)
-    return ratios
+
+def _windowed(state: PureState, what: str):
+    """``(state, ||amps||^2)``, with the state rescaled by an exact power of
+    two when its squared norm lies outside the window."""
+    t = float(np.vdot(state.amps, state.amps).real)
+    if _NORM2_LO <= t <= _NORM2_HI:
+        return state, t
+    top = state.max_abs()
+    if top == 0.0:
+        raise ZeroState(f"cannot {what} the zero state")
+    state = PureState(pow2_scaled(state.amps, top))
+    return state, float(np.vdot(state.amps, state.amps).real)
 
 
 def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> dict:
-    """Numerical rank of the amplitude matrix along each of the 7 cuts."""
-    if state.is_zero():
-        raise ZeroState("cannot rank the zero state")
+    """Numerical rank of the amplitude matrix along each of the 7 cuts.
+
+    Single-qubit cuts compare the closed-form sigma_min/sigma_max with
+    ``eps``; it comes from the Gram determinant, accumulated as a sum of
+    squared 2x2 minors so that exact rank deficiency is resolved to ~1e-16
+    rather than sqrt(machine eps), and from sigma_1^2 + sigma_2^2 = t.  Pair
+    cuts are decided from the determinant and the squared minors (see the
+    bound above) and fall back to the SVD only when neither is conclusive.
+    """
+    state, t = _windowed(state, "rank")
     if state.n != 4:
         raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
-    single = [2 if ratio > eps else 1 for ratio in _single_cut_ratios(state.amps)]
-    sv = np.linalg.svd(state.amps[_PAIR_CUTS], compute_uv=False)
-    pair = (sv > eps * sv[:, :1]).sum(axis=1).tolist()
-    return dict(zip(BIPARTITIONS, single + pair))
+    amps = state.amps
+    factors = amps[_MINOR_FACTORS]
+    products = factors[0] * factors[1]
+    minors = products[:_MINOR_COUNT] - products[_MINOR_COUNT:]
+    parts = minors.view(np.float64)
+    squares = parts * parts
+    ranks = []
+    for det in squares[:_SINGLE_FLOATS].reshape(4, 56).sum(axis=1).tolist():
+        lmax = 0.5 * (t + max(t * t - 4.0 * det, 0.0) ** 0.5)
+        ranks.append(2 if det**0.5 / lmax > eps else 1)
+    pair_minors = minors[_SINGLE_FLOATS // 2 :].reshape(3, 36)
+    dets = np.abs((pair_minors[:, :6] * pair_minors[:, 6:12]).sum(axis=1)).tolist()
+    tol4 = max(_RANK_K * eps, _RANK_FLOOR) * t * t
+    if min(dets) > tol4:
+        return dict(zip(BIPARTITIONS, ranks + [4, 4, 4]))
+    e2s = squares[_SINGLE_FLOATS:].reshape(3, 72).sum(axis=1).tolist()
+    tol1 = (eps / _RANK_K) ** 2 * t * t if eps > _RANK_FLOOR else 0.0
+    undecided = []
+    for i, (det, e2) in enumerate(zip(dets, e2s)):
+        if det > tol4:
+            ranks.append(4)
+        elif 16.0 * e2 < tol1:
+            ranks.append(1)
+        else:
+            ranks.append(0)
+            undecided.append(i)
+    if undecided:
+        sv = np.linalg.svd(amps[_PAIR_CUTS[undecided]], compute_uv=False)
+        for i, rank in zip(undecided, (sv > eps * sv[:, :1]).sum(axis=1).tolist()):
+            ranks[4 + i] = rank
+    return dict(zip(BIPARTITIONS, ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ import enum
 from dataclasses import dataclass
 
 from . import exact as _exact
-from .errors import DimensionMismatch, InternalContradiction, ZeroState
+from .errors import DimensionMismatch, InternalContradiction
 from .pencil import SpanProfile, analyze_span
 from .qstate import (
     DEFAULT_EPS,
     PureState,
+    _windowed,
     bipartition_ranks,
     cut_matrix,
     decompose,
@@ -198,8 +199,7 @@ def classify4(
         raise DimensionMismatch(f"classify4 needs a 4-qubit state, got n={state.n}")
     if not 1 <= distinguished <= 4:
         raise DimensionMismatch(f"distinguished qubit {distinguished} out of 1..4")
-    if state.is_zero():
-        raise ZeroState("cannot classify the zero state")
+    state, _ = _windowed(state, "classify")
 
     detail = _degenerate_screen(state, eps, exact)
     if detail is not None:

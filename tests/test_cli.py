@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from slocc4.canonical import FamilySpec, make_canonical
 from slocc4.cli import main, run_fuzz_empty
 from slocc4.errors import Slocc4Error
 from slocc4.qstate import PureState, save_state, state_to_json
@@ -225,3 +226,27 @@ def test_exact_matches_numeric_on_fixtures(tmp_path, capsys):
         code_e, out_e, _ = run_cli(capsys, "classify", str(path), "--exact")
         assert code_n == code_e == 0
         assert json.loads(out_n)["class"] == json.loads(out_e)["class"] == tag
+
+
+@pytest.mark.parametrize("command", ["classify", "explain", "fuzz-empty"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "2", "1", "0", "-1", "abc"])
+def test_eps_outside_unit_interval_is_a_usage_error(command, eps, tmp_path, capsys):
+    args = ["--trials", "1"] if command == "fuzz-empty" else [
+        write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, f"--eps={eps}"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines[0].startswith("usage:")
+    assert "--eps" in lines[-1] and "error" in lines[-1]
+    assert "Traceback" not in captured.err
+
+
+def test_eps_inside_unit_interval_is_accepted(tmp_path, capsys):
+    path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
+    code, out, _ = run_cli(capsys, "classify", path, "--eps=1e-6")
+    assert code == 0
+    assert json.loads(out)["class"] == "WGHZ_W"

@@ -24,8 +24,9 @@ from slocc4 import (
     state_to_json,
 )
 from slocc4.canonical import FamilySpec, make_canonical, random_slocc
+from slocc4.qstate import cut_matrix
 
-from conftest import GHZ3, W3
+from conftest import FAMILY_TAGS, GHZ3, W3
 
 
 def test_purestate_validation():
@@ -244,3 +245,115 @@ def test_load_state_rejects_bad_json(tmp_path):
     p2 = tmp_path / "good.json"
     p2.write_text(json.dumps({"n": 1, "amps": [[1, 0], [0, 0]]}))
     assert load_state(str(p2)).n == 1
+
+
+RANK_EPS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
+ALL_CUTS = ((1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4))
+
+
+def _gaussian(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def _unitary(rng, n=4):
+    q, r = np.linalg.qr(_gaussian(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rank_screen_states(rng):
+    """Gaussian states, both product kinds and SLOCC images of the ten
+    families."""
+    states = [PureState(_gaussian(rng, 16)) for _ in range(40)]
+    for k in range(4):  # one qubit in a product with the other three
+        for _ in range(5):
+            t = np.multiply.outer(_gaussian(rng, 2), _gaussian(rng, 8).reshape(2, 2, 2))
+            states.append(PureState(np.moveaxis(t, 0, k).reshape(16)))
+    for perm in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2)):  # two pairs
+        for _ in range(5):
+            pair = PureState(np.kron(_gaussian(rng, 4), _gaussian(rng, 4)))
+            states.append(permute_qubits(pair, perm))
+    for tag in FAMILY_TAGS:
+        base = make_canonical(FamilySpec(tag))
+        states.extend(apply_slocc(base, random_slocc(4, 1e3, rng)) for _ in range(3))
+    return states
+
+
+@pytest.mark.parametrize("eps", RANK_EPS)
+def test_bipartition_ranks_match_svd_count(eps):
+    rng = np.random.default_rng(4100)
+    for state in _rank_screen_states(rng):
+        ranks = bipartition_ranks(state, eps)
+        for cut in ALL_CUTS:
+            assert ranks[cut] == _brute_rank(state.amps, [q - 1 for q in cut], eps), (
+                cut,
+                eps,
+            )
+
+
+def _with_pair_cut_spectrum(sv, rng, perm):
+    """A state whose pair cut (1, 2) has singular values ``sv``, with its
+    qubits then permuted so that the cut lands on (1, 3) or (1, 4)."""
+    m = (_unitary(rng) * np.asarray(sv)) @ _unitary(rng).conj().T
+    return permute_qubits(PureState(m.reshape(16)), perm)
+
+
+def _solve(g, target):
+    """x with g(x) = target by fixed-point iteration on x = target * x / g(x)."""
+    x = target
+    for _ in range(60):
+        x = target * x / g(x)
+    return x
+
+
+@pytest.mark.parametrize("eps", RANK_EPS)
+@pytest.mark.parametrize("side", (0.99, 1.01))
+def test_bipartition_ranks_at_the_screen_bounds(eps, side):
+    # rank-4 test: |det| > max(1e3 eps, 1e-12) t^2 with sv (1, 1, 1, x);
+    # rank-1 test: 16 e2 < (eps / 1e3)^2 t^2 with sv (1, y, 0, 0)
+    rng = np.random.default_rng(4300)
+    bound4 = max(1e3 * eps, 1e-12)
+    spectra = [(1.0, side * eps / 4e3, 0.0, 0.0)]
+    if bound4 < 1e-2:
+        x = _solve(lambda x: x / (3.0 + x * x) ** 2, side * bound4)
+        spectra.append((1.0, 1.0, 1.0, x))
+    for sv in spectra:
+        for perm, cut in (((1, 2, 3, 4), (1, 2)), ((1, 3, 2, 4), (1, 3)), ((1, 4, 3, 2), (1, 4))):
+            state = _with_pair_cut_spectrum(sv, rng, perm)
+            if sv[3]:
+                mat = cut_matrix(state, cut)
+                ratio = abs(np.linalg.det(mat)) / np.vdot(mat, mat).real ** 2
+                assert (ratio > bound4) == (side > 1)
+            ranks = bipartition_ranks(state, eps)
+            for c in ALL_CUTS:
+                assert ranks[c] == _brute_rank(state.amps, [q - 1 for q in c], eps), (c, sv)
+
+
+@pytest.mark.parametrize("eps", RANK_EPS)
+@pytest.mark.parametrize("factor", (0.5, 2.0))
+def test_bipartition_ranks_next_to_eps(eps, factor):
+    # sigma_4/sigma_1 or sigma_2/sigma_1 on either side of eps itself, where
+    # the SVD count changes and neither screen test may decide
+    rng = np.random.default_rng(4350)
+    for sv in ((1.0, 1.0, 1.0, factor * eps), (1.0, factor * eps, 0.0, 0.0)):
+        for perm in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2)):
+            state = _with_pair_cut_spectrum(sv, rng, perm)
+            ranks = bipartition_ranks(state, eps)
+            for c in ALL_CUTS:
+                assert ranks[c] == _brute_rank(state.amps, [q - 1 for q in c], eps), (c, sv)
+
+
+def test_gaussian_states_never_reach_the_svd(monkeypatch):
+    rng = np.random.default_rng(4400)
+    states = [PureState(_gaussian(rng, 16)) for _ in range(500)]
+    want = [bipartition_ranks(s) for s in states]
+    assert all(r == dict.fromkeys(ALL_CUTS[:4], 2) | dict.fromkeys(ALL_CUTS[4:], 4) for r in want)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert [bipartition_ranks(s) for s in states] == want
+    # a separable qubit leaves the pair cuts at rank 2, which only the SVD decides
+    product = PureState(np.kron(_gaussian(rng, 2), _gaussian(rng, 8)))
+    with pytest.raises(AssertionError, match="svd called"):
+        bipartition_ranks(product)
