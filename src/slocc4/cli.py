@@ -24,6 +24,7 @@ from .pencil import analyze_span, clause_quadratics, quartic
 from .qstate import (
     DEFAULT_EPS,
     PureState,
+    _windowed,
     apply_slocc,
     decompose,
     load_state,
@@ -73,6 +74,9 @@ def _read_state(path: str) -> PureState:
 
 
 def _classify2(state: PureState, eps: float, exact: bool):
+    """Class and determinant of a 2-qubit state, rescaled by an exact power
+    of two when its norm lies outside the scale window."""
+    state, _ = _windowed(state, "classify")
     a = state.amps
     if exact:
         e = _exact.lift(a)
@@ -221,12 +225,11 @@ def run_fuzz_empty(
         for _, cls in profile.exceptional:
             if cls != TriClass.GHZ:
                 tally[str(cls)] = tally.get(str(cls), 0) + 1
-        if verbose or exact:
-            qf = quartic(phi0, phi1, exact=exact)
-            y4.append(_pair(qf.c[4]))
-            if exact:
-                diff = qf.exact[4] - _exact.GR_ONE
-                y4_exact_ones += int(diff.is_zero)
+        if verbose:
+            y4.append(_pair(quartic(phi0, phi1).c[4]))
+        if exact:
+            y4_exact = _exact.quartic_exact(_exact.lift(phi0.amps), _exact.lift(phi1.amps))[4]
+            y4_exact_ones += int(y4_exact == _exact.GR_ONE)
     report = {
         "trials": trials,
         "seed": seed,

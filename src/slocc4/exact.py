@@ -3,11 +3,14 @@
 Every finite float is a dyadic rational, so any float amplitude vector
 lifts exactly to Gaussian rationals (pairs of :class:`fractions.Fraction`).
 Exact mode performs all zero tests in this ring, where vanishing is decided
-without tolerances.
+without tolerances, by evaluating the float path's formulas from
+:mod:`slocc4.kernels` on these numbers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import kernels
 
 _ZERO = Fraction(0)
 
@@ -23,13 +26,6 @@ class GaussianRational:
     def from_complex(cls, z) -> "GaussianRational":
         z = complex(z)
         return cls(Fraction(z.real), Fraction(z.imag))
-
-    @classmethod
-    def from_int(cls, k: int) -> "GaussianRational":
-        return cls(Fraction(k), _ZERO)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     @property
     def is_zero(self) -> bool:
@@ -70,6 +66,9 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # real scalars, such as the integer constants of the formulas
+            return GaussianRational(self.re * other, self.im * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -81,6 +80,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            return GaussianRational(self.re / other, self.im / other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -97,7 +98,6 @@ class GaussianRational:
         return not self.is_zero
 
 
-GR_ZERO = GaussianRational(_ZERO, _ZERO)
 GR_ONE = GaussianRational(Fraction(1), _ZERO)
 
 
@@ -119,80 +119,22 @@ def snap_complex(z, max_den: int = 10**12) -> GaussianRational:
     )
 
 
-# ---------------------------------------------------------------------------
-# exact polynomial evaluation on 8-amplitude vectors
-
-def ghz_invariant_exact(a) -> GaussianRational:
-    s = a[0] * a[7] - a[2] * a[5] + a[1] * a[6] - a[3] * a[4]
-    return s * s - 4 * (a[2] * a[4] - a[0] * a[6]) * (a[3] * a[5] - a[1] * a[7])
-
-
-def clause_quantities_exact(a) -> tuple:
-    return (
-        a[0] * a[3] - a[1] * a[2],
-        a[5] * a[6] - a[4] * a[7],
-        a[1] * a[4] - a[0] * a[5],
-        a[3] * a[6] - a[2] * a[7],
-        a[3] * a[5] - a[1] * a[7],
-        a[2] * a[4] - a[0] * a[6],
-    )
-
-
-def pencil_element_exact(phi0, phi1, x: GaussianRational, y: GaussianRational) -> tuple:
-    return tuple(x * p + y * q for p, q in zip(phi0, phi1))
+def _at_nodes(formula, phi0, phi1, nodes) -> list:
+    """``formula`` of the pencil element ``x phi0 + y phi1`` at each node."""
+    return [formula(*(x * p + y * q for p, q in zip(phi0, phi1))) for x, y in nodes]
 
 
 def quartic_exact(phi0, phi1) -> tuple:
-    """Exact coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of the pencil's
-    GHZ-criterion form, by interpolation at integer nodes."""
-    two = GaussianRational.from_int(2)
-    c0 = ghz_invariant_exact(phi0)
-    c4 = ghz_invariant_exact(phi1)
-    t11 = ghz_invariant_exact(pencil_element_exact(phi0, phi1, GR_ONE, GR_ONE))
-    t1m = ghz_invariant_exact(pencil_element_exact(phi0, phi1, GR_ONE, -GR_ONE))
-    t12 = ghz_invariant_exact(pencil_element_exact(phi0, phi1, GR_ONE, two))
-    u = t11 - c0 - c4
-    v = t1m - c0 - c4
-    w = t12 - c0 - 16 * c4
-    c2 = (u + v) * GaussianRational(Fraction(1, 2), _ZERO)
-    c3 = (w - 3 * u - v) * GaussianRational(Fraction(1, 6), _ZERO)
-    c1 = (u - v) * GaussianRational(Fraction(1, 2), _ZERO) - c3
-    return (c0, c1, c2, c3, c4)
+    """Exact coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of the GHZ
+    criterion on the pencil of two lifted vectors."""
+    return kernels.quartic_coefficients(*_at_nodes(kernels.ghz, phi0, phi1, kernels.NODES))
 
 
 def clause_quadratics_exact(phi0, phi1) -> tuple:
-    """Exact (alpha, beta, gamma) triples for the six clause quantities as
+    """Exact (alpha, beta, gamma) triples of the six clause quantities as
     quadratic forms alpha x^2 + beta xy + gamma y^2 on the pencil."""
-    qa = clause_quantities_exact(phi0)
-    qc = clause_quantities_exact(phi1)
-    qs = clause_quantities_exact(pencil_element_exact(phi0, phi1, GR_ONE, GR_ONE))
-    return tuple(
-        (qa[i], qs[i] - qa[i] - qc[i], qc[i]) for i in range(6)
-    )
-
-
-def eval_quadratic_exact(form, x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    alpha, beta, gamma = form
-    return alpha * x * x + beta * x * y + gamma * y * y
-
-
-def eval_quartic_exact(coeffs, x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    acc = GR_ZERO
-    xp = [GR_ONE, x, x * x, x * x * x, x * x * x * x]
-    yp = [GR_ONE, y, y * y, y * y * y, y * y * y * y]
-    for j, c in enumerate(coeffs):
-        acc = acc + c * xp[4 - j] * yp[j]
-    return acc
-
-
-def resultant_quadratics_exact(f, g) -> GaussianRational:
-    """Resultant of two binary quadratic forms; zero iff they share a
-    projective root."""
-    a1, b1, c1 = f
-    a2, b2, c2 = g
-    return (a1 * c2 - a2 * c1) * (a1 * c2 - a2 * c1) - (a1 * b2 - a2 * b1) * (
-        b1 * c2 - b2 * c1
-    )
+    values = _at_nodes(kernels.clauses, phi0, phi1, kernels.NODES[:3])
+    return tuple(kernels.quadratic_coefficients(*t) for t in zip(*values))
 
 
 def exact_rank(rows) -> int:

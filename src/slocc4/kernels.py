@@ -10,6 +10,12 @@ numpy instead: numpy may fuse a multiply-add where Python rounds twice,
 and the order of the quartic's equal-multiplicity roots depends on those
 last bits.  Inputs and outputs are numpy arrays.
 
+The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
+``quadratic_coefficients``, ``resultant``, ``clause_code``) use only ring
+operations, integer constants and division by integers, so the same
+functions also evaluate Gaussian rationals, which is how exact mode decides
+its identities.
+
 Verdict codes used by ``tri_codes_batch``:
 
 ====  ==========
@@ -52,13 +58,13 @@ def pow2_scaled(a, scale):
     return np.ldexp(floats, -np.frexp(scale)[1]).view(np.complex128)
 
 
-def _ghz(a0, a1, a2, a3, a4, a5, a6, a7):
+def ghz(a0, a1, a2, a3, a4, a5, a6, a7):
     """GHZ criterion polynomial of one row, or column-wise of eight columns."""
     s = a0 * a7 - a2 * a5 + a1 * a6 - a3 * a4
-    return s * s - 4.0 * (a2 * a4 - a0 * a6) * (a3 * a5 - a1 * a7)
+    return s * s - 4 * (a2 * a4 - a0 * a6) * (a3 * a5 - a1 * a7)
 
 
-def _clauses(a0, a1, a2, a3, a4, a5, a6, a7):
+def clauses(a0, a1, a2, a3, a4, a5, a6, a7):
     """The six clause quantities of one row (or column-wise), two per clause."""
     return (
         a0 * a3 - a1 * a2,
@@ -70,14 +76,59 @@ def _clauses(a0, a1, a2, a3, a4, a5, a6, a7):
     )
 
 
+#: Interpolation nodes (x, y) of ``quartic_coefficients``; the first three
+#: are those of ``quadratic_coefficients``.
+NODES = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
+
+
+def quartic_coefficients(t10, t01, t11, t1m, t12):
+    """Coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of a binary quartic
+    from its values at the five ``NODES``."""
+    u = t11 - t10 - t01
+    v = t1m - t10 - t01
+    w = t12 - t10 - 16 * t01
+    c2 = (u + v) / 2
+    c3 = (w - 3 * u - v) / 6
+    c1 = (u - v) / 2 - c3
+    return (t10, c1, c2, c3, t01)
+
+
+def quadratic_coefficients(t10, t01, t11):
+    """Coefficients (alpha, beta, gamma) of a binary quadratic
+    alpha x^2 + beta x y + gamma y^2 from its values at the first three
+    ``NODES``."""
+    return (t10, t11 - t10 - t01, t01)
+
+
+def resultant(f, g):
+    """Resultant of two binary quadratics (alpha, beta, gamma); zero iff
+    they share a projective root."""
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    d = a1 * c2 - a2 * c1
+    return d * d - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
+
+
+def clause_code(c1, c2, c3):
+    """Verdict code of a row that is not GHZ, from its three clause truths."""
+    ntrue = c1 + c2 + c3
+    if ntrue == 3:
+        return CODE_W
+    if ntrue == 0:
+        return CODE_SEP
+    if ntrue == 2:
+        return CODE_AMBIGUOUS
+    return CODE_B1 if c1 else (CODE_B2 if c2 else CODE_B3)
+
+
 def ghz_invariant_batch(a):
     """GHZ criterion polynomial of each row of a (N, 8) array."""
-    return _ghz(*a.T)
+    return ghz(*a.T)
 
 
 def clause_quantities_batch(a):
     """The six clause quantities of each row of a (N, 8) array, as (N, 6)."""
-    return np.stack(_clauses(*a.T), axis=1)
+    return np.stack(clauses(*a.T), axis=1)
 
 
 def _tri_code(row, eps):
@@ -87,21 +138,15 @@ def _tri_code(row, eps):
     if not SCALE_LO <= scale <= SCALE_HI:
         row = pow2_scaled(np.array(row), scale).tolist()
         scale = max(map(abs, row))
-    if abs(_ghz(*row)) > eps * scale**4:
+    if abs(ghz(*row)) > eps * scale**4:
         return CODE_GHZ
     thresh2 = eps * scale * scale
-    q0, q1, q2, q3, q4, q5 = map(abs, _clauses(*row))
-    c1 = q0 > thresh2 or q1 > thresh2
-    c2 = q2 > thresh2 or q3 > thresh2
-    c3 = q4 > thresh2 or q5 > thresh2
-    ntrue = c1 + c2 + c3
-    if ntrue == 3:
-        return CODE_W
-    if ntrue == 0:
-        return CODE_SEP
-    if ntrue == 2:
-        return CODE_AMBIGUOUS
-    return CODE_B1 if c1 else (CODE_B2 if c2 else CODE_B3)
+    q0, q1, q2, q3, q4, q5 = map(abs, clauses(*row))
+    return clause_code(
+        q0 > thresh2 or q1 > thresh2,
+        q2 > thresh2 or q3 > thresh2,
+        q4 > thresh2 or q5 > thresh2,
+    )
 
 
 def tri_codes_batch(a, eps):

@@ -26,15 +26,9 @@ from .errors import (
     ZeroState,
 )
 from .qstate import DEFAULT_EPS, PureState, _herm2_eigs
-from .tri import TriClass, classify3_batch, classify3_exact_amps
+from .tri import TriClass, _class_from_code, classify3_batch, classify3_exact_amps
 
 _PROBE_SEED = 20260809
-
-#: Fixed Gaussian-rational probe points for exact-mode generic typing.
-_EXACT_PROBES = (
-    (_exact.GaussianRational.from_complex(3 + 1j), _exact.GaussianRational.from_complex(2 - 1j)),
-    (_exact.GaussianRational.from_complex(-5 + 2j), _exact.GaussianRational.from_complex(1 + 4j)),
-)
 
 
 class ProjectivePoint:
@@ -83,7 +77,6 @@ class QuarticForm:
 
     c: np.ndarray
     amp_scale: float
-    exact: tuple = None
 
     def evaluate(self, x, y) -> complex:
         x, y = complex(x), complex(y)
@@ -91,8 +84,6 @@ class QuarticForm:
         return complex(np.dot(self.c, xs))
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
-        if self.exact is not None:
-            return all(z.is_zero for z in self.exact)
         return float(np.abs(self.c).max()) <= eps * self.amp_scale**4
 
 
@@ -158,7 +149,11 @@ def _amps_of(state) -> np.ndarray:
 
 
 def _check_inputs(phi0, phi1):
-    """The two pencil vectors as arrays, with their largest magnitudes."""
+    """The two pencil vectors as arrays, with their largest magnitudes.
+
+    When the larger magnitude lies outside [``kernels.SCALE_LO``,
+    ``kernels.SCALE_HI``], both vectors are rescaled by the same exact
+    power of two, which leaves every point of the pencil in place."""
     p0 = _amps_of(phi0)
     p1 = _amps_of(phi1)
     s0 = float(np.abs(p0).max())
@@ -167,11 +162,17 @@ def _check_inputs(phi0, phi1):
         raise ZeroState("phi0 is the zero vector")
     if s1 == 0.0:
         raise ZeroState("phi1 is the zero vector")
+    top = max(s0, s1)
+    if not kernels.SCALE_LO <= top <= kernels.SCALE_HI:
+        p0 = kernels.pow2_scaled(p0, top)
+        p1 = kernels.pow2_scaled(p1, top)
+        s0 = float(np.abs(p0).max())
+        s1 = float(np.abs(p1).max())
     return p0, p1, s0, s1
 
 
 #: Interpolation nodes (x, y) of the quartic and of the clause quadratics.
-_QUARTIC_NODES = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 2]], dtype=np.complex128)
+_QUARTIC_NODES = np.array(kernels.NODES, dtype=np.complex128)
 _QUADRATIC_NODES = _QUARTIC_NODES[:3]
 
 
@@ -180,45 +181,29 @@ def _ghz_at_nodes(p0, p1):
     return kernels.ghz_invariant_batch(elems)
 
 
-def quartic(phi0, phi1, exact: bool = False) -> QuarticForm:
+def quartic(phi0, phi1) -> QuarticForm:
     """Quartic form equal to the GHZ criterion of ``x phi0 + y phi1``.
 
     Coefficients are obtained from evaluations at five fixed nodes; the
     endpoint coefficients come from (1,0) and (0,1) alone, so the y^4
-    coefficient is exactly the invariant of ``phi1``.
+    coefficient is exactly the invariant of ``phi1``.  For vectors outside
+    the scale window it is the quartic of the rescaled pencil (see
+    ``_check_inputs``).
     """
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    t = _ghz_at_nodes(p0, p1)
-    c0, c4 = t[0], t[1]
-    u = t[2] - c0 - c4
-    v = t[3] - c0 - c4
-    w = t[4] - c0 - 16 * c4
-    c2 = (u + v) / 2
-    c3 = (w - 3 * u - v) / 6
-    c1 = (u - v) / 2 - c3
-    exact_c = _exact.quartic_exact(_exact.lift(p0), _exact.lift(p1)) if exact else None
-    return QuarticForm(c=np.array([c0, c1, c2, c3, c4]), amp_scale=max(s0, s1), exact=exact_c)
+    c = kernels.quartic_coefficients(*_ghz_at_nodes(p0, p1))
+    return QuarticForm(c=np.array(c), amp_scale=max(s0, s1))
 
 
-def clause_quadratics(phi0, phi1, exact: bool = False) -> tuple:
+def clause_quadratics(phi0, phi1) -> tuple:
     """The six clause quantities as quadratic forms on the pencil, grouped
     into the three clause pairs."""
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
     q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, _QUADRATIC_NODES))
-    alpha, gamma = q[0], q[1]
-    beta = q[2] - alpha - gamma
+    alpha, beta, gamma = kernels.quadratic_coefficients(*q)
     scale = max(s0, s1)
-    exact_forms = (
-        _exact.clause_quadratics_exact(_exact.lift(p0), _exact.lift(p1))
-        if exact
-        else [None] * 6
-    )
     forms = tuple(
-        QuadraticForm(
-            c=np.array([alpha[i], beta[i], gamma[i]]),
-            amp_scale=scale,
-            exact=exact_forms[i],
-        )
+        QuadraticForm(c=np.array([alpha[i], beta[i], gamma[i]]), amp_scale=scale)
         for i in range(6)
     )
     return (forms[0:2], forms[2:4], forms[4:6])
@@ -410,13 +395,6 @@ def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
     return _projective_roots(f.c, eps)
 
 
-def resultant(f: QuadraticForm, g: QuadraticForm) -> complex:
-    """Resultant of two binary quadratics; zero iff they share a root."""
-    a1, b1, c1 = f.c
-    a2, b2, c2 = g.c
-    return complex((a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1))
-
-
 def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -> list:
     """Common projective roots of a clause pair.
 
@@ -434,11 +412,11 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
     if gz:
         return _quadratic_roots(f, eps)
     if f.exact is not None and g.exact is not None:
-        if not _exact.resultant_quadratics_exact(f.exact, g.exact).is_zero:
+        if kernels.resultant(f.exact, g.exact):
             return []
     else:
         scale = float(np.abs(f.c).max()) * float(np.abs(g.c).max())
-        if abs(resultant(f, g)) > eps * scale**2:
+        if abs(complex(kernels.resultant(f.c, g.c))) > eps * scale**2:
             return []
     radius = math.sqrt(eps)
     rf = _quadratic_roots(f, eps)
@@ -460,10 +438,6 @@ class _ExactContext:
         self.p0 = _exact.lift(p0)
         self.p1 = _exact.lift(p1)
 
-    def classify_at(self, x: _exact.GaussianRational, y: _exact.GaussianRational):
-        elem = _exact.pencil_element_exact(self.p0, self.p1, x, y)
-        return classify3_exact_amps(elem)
-
     def classify_point(self, pt: ProjectivePoint):
         """Snap a float projective point to Gaussian rationals and classify
         the pencil element there exactly."""
@@ -473,7 +447,7 @@ class _ExactContext:
         else:
             x = _exact.GR_ONE
             y = _exact.snap_complex(pt.y / pt.x)
-        return self.classify_at(x, y)
+        return classify3_exact_amps(tuple(x * p + y * q for p, q in zip(self.p0, self.p1)))
 
 
 def _classify_points(p0, p1, points, eps):
@@ -501,13 +475,14 @@ def analyze_span(
     If the quartic is nonzero the generic element is GHZ and the quartic
     roots, classified individually, are the exceptional points.  If it
     vanishes identically the generic type is established by two fixed
-    pseudorandom probes and the exceptional candidates are the endpoints,
+    pseudorandom probes (in exact mode, by which clause pairs vanish
+    identically) and the exceptional candidates are the endpoints,
     the roots of every clause quadratic, and the matched common roots of
     each clause pair; candidates are kept when their class differs from
     the generic one.
 
     In exact mode all identity decisions (quartic and clause-form
-    vanishing, resultants, probe classifications) are exact, and candidate
+    vanishing, resultants, the generic type) are exact, and candidate
     points are re-classified exactly at snapped rational coordinates when
     the snap is consistent.  Exactness certifies structure that is exactly
     representable; when the exact lift sits within float noise of the
@@ -516,35 +491,20 @@ def analyze_span(
     to numeric semantics instead of classifying the noise.
     """
     p0_raw, p1_raw, s0, s1 = _check_inputs(phi0, phi1)
-    top = max(s0, s1)
-    if not kernels.SCALE_LO <= top <= kernels.SCALE_HI:
-        # one exact power of two for both vectors leaves every point in place
-        p0_raw = kernels.pow2_scaled(p0_raw, top)
-        p1_raw = kernels.pow2_scaled(p1_raw, top)
-        s0 = float(np.abs(p0_raw).max())
-        s1 = float(np.abs(p1_raw).max())
     _span_dim2_or_raise(p0_raw, p1_raw, eps)
 
     p0 = p0_raw / s0
     p1 = p1_raw / s1
 
     ctx = _ExactContext(p0_raw, p1_raw) if exact else None
-
-    if exact:
-        qform = quartic(p0_raw, p1_raw, exact=True)
-        exact_zero = qform.identically_zero(eps)
-        float_zero = quartic(p0, p1).identically_zero(eps)
-        if exact_zero:
-            return _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx, True)
-        if float_zero:
-            # off-variety at noise level only: numeric semantics
-            return _profile_degenerate_quartic(p0, p1, s0, s1, eps, None, False)
-        return _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx, True)
-
     qform = quartic(p0, p1)
-    if not qform.identically_zero(eps):
-        return _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx, exact)
-    return _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx, exact)
+    if ctx is not None and not any(_exact.quartic_exact(ctx.p0, ctx.p1)):
+        return _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx)
+    if qform.identically_zero(eps):
+        # in exact mode the lift is off the variety at noise level only:
+        # numeric semantics
+        return _profile_degenerate_quartic(p0, p1, s0, s1, eps, None)
+    return _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx)
 
 
 def _classify_candidate(pt, cls_float, generic, ctx):
@@ -566,13 +526,8 @@ def _classify_candidate(pt, cls_float, generic, ctx):
     return None
 
 
-def _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx, exact):
-    if exact:
-        # root finding happens on the normalized float quartic
-        qf = quartic(p0, p1)
-        roots = quartic_roots(qf, eps)
-    else:
-        roots = quartic_roots(qform, eps)
+def _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx):
+    roots = quartic_roots(qform, eps)
     classes = _classify_points(p0, p1, roots, eps)
     exceptional = []
     for pt, cls in zip(roots, classes):
@@ -596,29 +551,27 @@ def _float_probes() -> np.ndarray:
 _FLOAT_PROBES = _float_probes()
 
 
-def _probe_generic_type(p0, p1, eps, ctx):
-    if ctx is not None:
-        types = [ctx.classify_at(x, y) for x, y in _EXACT_PROBES]
-    else:
-        try:
-            types = classify3_batch(
-                kernels.pencil_elements(p0, p1, _FLOAT_PROBES), eps
-            )
-        except AmbiguousClassification as exc:
-            raise GenericTypeUnstable(f"generic probe is ambiguous: {exc}") from exc
+def _probe_generic_type(p0, p1, eps):
+    try:
+        types = classify3_batch(kernels.pencil_elements(p0, p1, _FLOAT_PROBES), eps)
+    except AmbiguousClassification as exc:
+        raise GenericTypeUnstable(f"generic probe is ambiguous: {exc}") from exc
     if types[0] != types[1]:
         raise GenericTypeUnstable(
             f"generic probes disagree: {types[0]} vs {types[1]}"
         )
-    return types[0]
-
-
-def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx, exact):
-    generic = _probe_generic_type(p0, p1, eps, ctx)
-    if generic == TriClass.GHZ:
+    if types[0] == TriClass.GHZ:
         raise InternalContradiction(
             "quartic vanishes identically but a generic element is GHZ"
         )
+    return types[0]
+
+
+def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
+    """Profile of a pencil whose quartic vanishes identically; exactly so
+    when ``ctx`` is given."""
+    if ctx is None:
+        generic = _probe_generic_type(p0, p1, eps)
 
     # float coefficients from the normalized pencil (root localization),
     # exact triples from the raw lift (identity decisions are invariant
@@ -634,17 +587,17 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx, exact):
             )
             for k, pair in enumerate(pairs)
         )
+    live = [not (fa.identically_zero(eps) and fb.identically_zero(eps)) for fa, fb in pairs]
+    if ctx is not None:
+        # clause k holds at a generic element exactly when its pair does
+        # not vanish identically
+        generic = _class_from_code(kernels.clause_code(*live), "the generic element")
     candidates = [ProjectivePoint(1, 0), ProjectivePoint(0, 1)]
-    for fa, fb in pairs:
-        both_zero = fa.identically_zero(eps) and fb.identically_zero(eps)
-        if both_zero:
-            continue
-        try:
+    for (fa, fb), keep in zip(pairs, live):
+        if keep:
             candidates.extend(common_roots(fa, fb, eps))
-        except IdenticallyZero:  # pragma: no cover - guarded above
-            pass
-        candidates.extend(_quadratic_roots(fa, eps))
-        candidates.extend(_quadratic_roots(fb, eps))
+            candidates.extend(_quadratic_roots(fa, eps))
+            candidates.extend(_quadratic_roots(fb, eps))
 
     centroids = [
         pt if pt.multiplicity == 1 else ProjectivePoint(pt.x, pt.y, 1)

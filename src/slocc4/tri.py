@@ -94,10 +94,17 @@ def ghz_invariant(a) -> complex:
 
 
 def w_clauses(a, eps: float = DEFAULT_EPS) -> ClauseReport:
-    """Evaluate the six clause quantities and the three clause truths."""
+    """Evaluate the six clause quantities and the three clause truths.
+
+    A state whose largest magnitude lies outside [``kernels.SCALE_LO``,
+    ``kernels.SCALE_HI``] is first rescaled by an exact power of two, and
+    the report holds the values of the rescaled state."""
     arr = _as_amp8(a)
-    q = kernels.clause_quantities_batch(arr.reshape(1, 8))[0]
     scale = float(np.abs(arr).max())
+    if scale and not kernels.SCALE_LO <= scale <= kernels.SCALE_HI:
+        arr = kernels.pow2_scaled(arr, scale)
+        scale = float(np.abs(arr).max())
+    q = kernels.clause_quantities_batch(arr.reshape(1, 8))[0]
     thresh = eps * scale * scale
     truth = tuple(
         bool(abs(q[2 * k]) > thresh or abs(q[2 * k + 1]) > thresh) for k in range(3)
@@ -127,20 +134,10 @@ def classify3_batch(amps: np.ndarray, eps: float = DEFAULT_EPS) -> list:
 def _exact_code(lifted) -> int:
     if all(z.is_zero for z in lifted):
         return kernels.CODE_ZERO
-    if not _exact.ghz_invariant_exact(lifted).is_zero:
+    if kernels.ghz(*lifted):
         return kernels.CODE_GHZ
-    q = _exact.clause_quantities_exact(lifted)
-    c1 = bool(q[0]) or bool(q[1])
-    c2 = bool(q[2]) or bool(q[3])
-    c3 = bool(q[4]) or bool(q[5])
-    ntrue = c1 + c2 + c3
-    if ntrue == 3:
-        return kernels.CODE_W
-    if ntrue == 0:
-        return kernels.CODE_SEP
-    if ntrue == 2:  # pragma: no cover - algebraically impossible
-        return kernels.CODE_AMBIGUOUS
-    return kernels.CODE_B1 if c1 else (kernels.CODE_B2 if c2 else kernels.CODE_B3)
+    q = kernels.clauses(*lifted)
+    return kernels.clause_code(bool(q[0] or q[1]), bool(q[2] or q[3]), bool(q[4] or q[5]))
 
 
 def classify3_exact_amps(lifted) -> TriClass:

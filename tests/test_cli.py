@@ -77,6 +77,64 @@ def test_classify_two_qubits(tmp_path, capsys):
     assert code == 2 and json.loads(out)["class"] == "00"
 
 
+@pytest.mark.parametrize("factor", [1e160, 1e-170])
+def test_classify_two_qubits_at_extreme_scales(factor, tmp_path, capsys):
+    # the determinant of the raw amplitudes overflows or underflows here;
+    # an exact power of two brings the state back into range first
+    path = write_state(tmp_path, np.array([1, 0, 0, 1]) * factor)
+    code, out, err = run_cli(capsys, "classify", path)
+    assert (code, json.loads(out)["class"], err) == (0, "Psi", "")
+    path = write_state(tmp_path, np.array([1, 2, 3, 6]) * factor, "prod.json")
+    code, out, err = run_cli(capsys, "classify", path)
+    assert (code, json.loads(out)["class"], err) == (2, "00", "")
+
+
+def test_classify_two_qubit_zero_state(tmp_path, capsys):
+    path = write_state(tmp_path, np.zeros(4))
+    code, out, err = run_cli(capsys, "classify", path)
+    assert (code, out) == (1, "")
+    assert "zero" in err.lower()
+
+
+def test_classify_two_qubits_exact(tmp_path, capsys):
+    path = write_state(tmp_path, [1, 0, 0, 1e-12])
+    assert json.loads(run_cli(capsys, "classify", path)[1])["class"] == "00"
+    code, out, _ = run_cli(capsys, "classify", path, "--exact")
+    assert code == 0 and json.loads(out)["class"] == "Psi"
+    path = write_state(tmp_path, [1, 2j, 3, 6j], "prod.json")
+    code, out, _ = run_cli(capsys, "classify", path, "--exact")
+    assert code == 2 and json.loads(out)["class"] == "00"
+
+
+def test_explain_two_qubits(tmp_path, capsys):
+    path = write_state(tmp_path, [1, 2, 3, 4j])
+    code, out, _ = run_cli(capsys, "explain", path)
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "class": "Psi", "determinant": [-6.0, 4.0]}
+
+
+def test_explain_three_qubits(tmp_path, capsys):
+    path = write_state(tmp_path, [0, 1, 1, 0, 1, 0, 0, 0])
+    code, out, _ = run_cli(capsys, "explain", path)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["class"] == "W"
+    assert obj["ghz_value"] == [0.0, 0.0]
+    assert obj["clause_truth"] == [True, True, True]
+    assert obj["quantities"] == [[-1, 0], [0, 0], [1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+def test_classify_all_distinguished_explain(tmp_path, capsys):
+    path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
+    code, out, _ = run_cli(capsys, "classify", path, "--distinguished", "all", "--explain")
+    assert code == 0
+    blocks = json.loads(out)["explain"]
+    assert [b["distinguished"] for b in blocks] == [1, 2, 3, 4]
+    for block in blocks:
+        assert len(block["quartic"]) == 5
+        assert [len(pair) for pair in block["clause_quadratics"]] == [2, 2, 2]
+
+
 def test_classify_all_distinguished(tmp_path, capsys):
     amps = np.zeros(16)
     amps[0] = amps[15] = 1

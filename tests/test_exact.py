@@ -2,21 +2,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slocc4 import PureState, TriClass, classify3, classify4
-from slocc4.canonical import FamilySpec, make_canonical, okpsi_w_phi0
+from slocc4 import PureState, TriClass, classify3, classify4, clause_quadratics, quartic
+from slocc4.canonical import FAMILY_CUTS, FamilySpec, make_canonical, okpsi_w_phi0
 from slocc4.exact import (
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
-    clause_quantities_exact,
+    clause_quadratics_exact,
     exact_rank,
-    ghz_invariant_exact,
     lift,
     quartic_exact,
-    resultant_quadratics_exact,
     snap_complex,
 )
+from slocc4.kernels import clauses, ghz, resultant
 
 from conftest import FAMILY_TAGS, GHZ3, W3
 
@@ -36,29 +36,29 @@ def test_gaussian_rational_arithmetic():
     assert 2 * a == gr(2, 4)
     assert a.conjugate() == gr(1, -2)
     assert a.abs2() == Fraction(5)
-    assert not GR_ZERO
+    assert not gr(0)
     assert GR_ONE
     with pytest.raises(ZeroDivisionError):
-        a / GR_ZERO
+        a / gr(0)
 
 
 def test_lift_is_exact_for_floats():
     # every finite float is a dyadic rational
     z = 0.1 + 0.3j
     g = GaussianRational.from_complex(z)
-    assert g.to_complex() == z
+    assert complex(float(g.re), float(g.im)) == z
     assert g.re == Fraction(0.1)  # exact binary value, not 1/10
     assert g.re != Fraction(1, 10)
 
 
 def test_exact_invariant_on_ghz():
-    val = ghz_invariant_exact(lift(GHZ3))
+    val = ghz(*lift(GHZ3))
     assert val == GR_ONE
-    assert ghz_invariant_exact(lift(W3)).is_zero
+    assert ghz(*lift(W3)).is_zero
 
 
 def test_exact_clause_quantities():
-    q = clause_quantities_exact(lift(W3))
+    q = clauses(*lift(W3))
     assert q[0] == gr(-1)
     assert q[2] == gr(1)
     assert q[5] == gr(1)
@@ -94,12 +94,26 @@ def test_quartic_exact_identically_zero_for_lambda_family():
         assert all(c.is_zero for c in coeffs)
 
 
+def test_exact_forms_equal_float_forms_on_small_integers():
+    # float arithmetic is exact on small Gaussian integers, so the exact
+    # compositions must reproduce the float coefficients bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        phi0, phi1 = rng.integers(-5, 6, (2, 8)) + 1j * rng.integers(-5, 6, (2, 8))
+        exact_q = quartic_exact(lift(phi0), lift(phi1))
+        assert [complex(float(z.re), float(z.im)) for z in exact_q] == quartic(phi0, phi1).c.tolist()
+        exact_forms = clause_quadratics_exact(lift(phi0), lift(phi1))
+        forms = [f for pair in clause_quadratics(phi0, phi1) for f in pair]
+        for exact_f, f in zip(exact_forms, forms):
+            assert [complex(float(z.re), float(z.im)) for z in exact_f] == f.c.tolist()
+
+
 def test_resultant_exact():
     # x^2 and y^2 share no root; x^2 and x^2 share both
-    f = (gr(1), GR_ZERO, GR_ZERO)
-    g = (GR_ZERO, GR_ZERO, gr(1))
-    assert resultant_quadratics_exact(f, g) == gr(1)
-    assert resultant_quadratics_exact(f, f).is_zero
+    f = (gr(1), gr(0), gr(0))
+    g = (gr(0), gr(0), gr(1))
+    assert resultant(f, g) == gr(1)
+    assert resultant(f, f).is_zero
 
 
 def test_exact_rank():
@@ -107,7 +121,7 @@ def test_exact_rank():
     assert exact_rank(rows) == 1
     rows = [[gr(1), gr(0)], [gr(0, 1), gr(1)]]
     assert exact_rank(rows) == 2
-    assert exact_rank([[GR_ZERO, GR_ZERO]]) == 0
+    assert exact_rank([[gr(0), gr(0)]]) == 0
 
 
 def test_snap_complex():
@@ -154,3 +168,54 @@ def test_degenerate_screen_exact_on_rounded_product():
     exact = classify4(img, exact=True)
     assert numeric.is_degenerate and exact.is_degenerate
     assert "qubit 1 separable" in exact.detail
+
+
+# Gaussian-integer SLOCC images on which fixed rational probe points of the
+# generic type used to land on rational exceptional points, so exact mode
+# raised GenericTypeUnstable while float mode was right.
+PROBE_COINCIDENCES = [
+    ("W000_0Psi", (), [
+        -10 - 18j, 6 + 10j, -42 - 6j, 22 - 2j, -16 + 28j, 4 - 8j, -6 + 42j, 2 - 18j,
+        12 - 12j, 4 + 4j, 6 + 8j, -4 - 10j, 24 - 12j, -4, 38 - 16j, -20 + 6j,
+    ]),
+    ("W0kPsi_W", (1,), [
+        -28j, 28 - 10j, 19 + 25j, 3 + 5j, 22 - 10j, 23 + 15j, -2 + 29j, -1 + 6j,
+        -40 + 8j, -12 - 20j, 12, 0, -18 - 34j, 7 - 13j, -10 + 1j, -2 - 3j,
+    ]),
+    ("W000_W", (), [
+        -29 - 5j, -36 + 27j, -5 - 1j, -18 + 1j, 3 - 23j, -27 - 26j, -1 - 7j, -5 - 20j,
+        9 - 1j, 23 - 36j, 21 + 7j, 45 + 10j, 9 + 5j, 46 + 13j, -7 + 25j, -8 + 51j,
+    ]),
+]
+
+
+@pytest.mark.parametrize("tag, cuts, amps", PROBE_COINCIDENCES, ids=[c[0] for c in PROBE_COINCIDENCES])
+def test_exact_generic_type_needs_no_probe_points(tag, cuts, amps):
+    state = PureState(np.array(amps, dtype=complex))
+    exact = classify4(state, exact=True)
+    numeric = classify4(state)
+    assert (exact.tag.value, exact.cuts) == (tag, cuts)
+    assert (numeric.tag, numeric.cuts) == (exact.tag, exact.cuts)
+
+
+def _gaussian_integer_op(rng):
+    while True:
+        m = rng.integers(-2, 3, size=(2, 2)) + 1j * rng.integers(-2, 3, size=(2, 2))
+        if m[0, 0] * m[1, 1] != m[0, 1] * m[1, 0]:
+            return m
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(tag=st.sampled_from(FAMILY_TAGS), seed=st.integers(0, 2**32 - 1))
+def test_exact_agrees_with_float_on_dyadic_images(tag, seed):
+    # Gaussian-integer local operators keep every amplitude exactly
+    # representable, so exact mode decides the same identities that float
+    # mode approximates
+    rng = np.random.default_rng(seed)
+    mats = [_gaussian_integer_op(rng) for _ in range(4)]
+    base = make_canonical(FamilySpec(tag)).amps.reshape(2, 2, 2, 2)
+    state = PureState(np.einsum("ai,bj,ck,dl,ijkl->abcd", *mats, base).reshape(16))
+    exact = classify4(state, exact=True)
+    numeric = classify4(state)
+    assert (exact.tag, exact.cuts) == (numeric.tag, numeric.cuts)
+    assert (exact.tag.value, exact.cuts) == (tag, FAMILY_CUTS.get(tag, ()))

@@ -18,13 +18,16 @@ from slocc4 import (
     bipartition_ranks,
     classify3,
     classify4_all,
+    clause_quadratics,
     decompose,
     permute_qubits,
+    quartic,
+    w_clauses,
 )
 from slocc4.canonical import TRI_STATES, FamilySpec, make_canonical, random_slocc
 from slocc4.errors import Slocc4Error
 
-from conftest import FAMILY_TAGS, random_image, tri_canonical
+from conftest import FAMILY_TAGS, GHZ3, W3, random_image, tri_canonical
 
 
 def _scaled(amps, k):
@@ -36,6 +39,20 @@ def _outcome(fn, *args):
         return fn(*args)
     except Slocc4Error as exc:
         return type(exc).__name__
+
+
+def _mantissas(values):
+    """Values up to one common power of two: their float mantissas."""
+    parts = np.asarray(values, dtype=np.complex128).view(np.float64)
+    return np.frexp(parts)[0].tolist()
+
+
+def _forms_key(phi0, phi1):
+    """Vanishing and coefficients (up to a power of two) of the quartic and
+    the clause quadratics of a pencil."""
+    forms = [quartic(phi0, phi1)]
+    forms += [f for pair in clause_quadratics(phi0, phi1) for f in pair]
+    return [(f.identically_zero(), _mantissas(f.c)) for f in forms]
 
 
 def _profile_key(profile):
@@ -69,9 +86,14 @@ def test_pow2_rescaling_changes_no_verdict(tag, tri, seed, perm, k):
     profile = _outcome(analyze_span, d.phi0.amps, d.phi1.amps)
     scaled_profile = _outcome(analyze_span, _scaled(d.phi0.amps, k), _scaled(d.phi1.amps, k))
     assert _profile_key(scaled_profile) == _profile_key(profile)
+    forms = _outcome(_forms_key, d.phi0.amps, d.phi1.amps)
+    assert _outcome(_forms_key, _scaled(d.phi0.amps, k), _scaled(d.phi1.amps, k)) == forms
 
     three = random_image(tri_canonical(tri), rng)
     assert classify3(PureState(_scaled(three.amps, k))) == classify3(three)
+    report = w_clauses(_scaled(three.amps, k))
+    assert report.clause_truth == w_clauses(three.amps).clause_truth
+    assert _mantissas(report.quantities) == _mantissas(w_clauses(three.amps).quantities)
 
 
 @pytest.mark.parametrize("factor", [1e80, 1e-120, 1e300, 1e-300])
@@ -88,3 +110,17 @@ def test_extreme_scales_keep_the_label(tag, factor):
 def test_extreme_scales_keep_the_three_qubit_class(name, factor):
     state = tri_canonical(name)
     assert classify3(PureState(state.amps * factor)) == classify3(state)
+
+
+@pytest.mark.parametrize("factor", [1e80, 1e-170])
+def test_pencil_helpers_at_extreme_scales(factor):
+    q = quartic(GHZ3 * factor, W3 * factor)
+    assert not q.identically_zero()
+    ref = quartic(GHZ3, W3).c
+    np.testing.assert_allclose(q.c / np.abs(q.c).max(), ref / np.abs(ref).max(), atol=1e-15)
+    pairs = clause_quadratics(GHZ3 * factor, W3 * factor)
+    assert [f.identically_zero() for pair in pairs for f in pair] == [
+        f.identically_zero() for pair in clause_quadratics(GHZ3, W3) for f in pair
+    ]
+    assert w_clauses(W3 * factor).clause_truth == (True, True, True)
+    assert classify3(PureState(W3 * factor)).value == "W"
