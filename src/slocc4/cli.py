@@ -105,7 +105,7 @@ def _cmd_classify(args, explain: bool) -> int:
         cls = classify3(state, eps, exact=args.exact)
         out = {"n": 3, "class": str(cls)}
         if explain:
-            report = w_clauses(state.amps, eps)
+            report = w_clauses(state.amps, eps, exact=args.exact)
             out["ghz_value"] = _pair(report.ghz_value)
             out["clause_truth"] = list(report.clause_truth)
             out["quantities"] = [_pair(q) for q in report.quantities]

@@ -22,10 +22,13 @@ class StateFormatError(Slocc4Error):
 
 
 class AmbiguousClassification(Slocc4Error):
-    """Exactly two W-condition clauses evaluated true.
+    """A tolerance straddles a class boundary.
 
-    This pattern is algebraically impossible, so it can only mean the
-    tolerance straddles a class boundary.  Callers may retry in exact mode.
+    Either exactly two W-condition clauses evaluated true, a pattern that is
+    algebraically impossible, or a covariant of a pencil quartic lies
+    between its zero and its nonzero threshold, so the multiplicities of
+    its roots are undecided.  Callers may retry the clause case in exact
+    mode.
     """
 
 

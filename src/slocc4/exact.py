@@ -97,6 +97,9 @@ class GaussianRational:
     def __bool__(self):
         return not self.is_zero
 
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
 
 GR_ONE = GaussianRational(Fraction(1), _ZERO)
 

@@ -6,15 +6,13 @@ is a plain loop over the rows in Python complex arithmetic.  The kernels
 whose values become polynomial coefficients (the quartic from
 ``ghz_invariant_batch``, the clause quadratics from
 ``clause_quantities_batch``) evaluate the same formulas column-wise in
-numpy instead: numpy may fuse a multiply-add where Python rounds twice,
-and the order of the quartic's equal-multiplicity roots depends on those
-last bits.  Inputs and outputs are numpy arrays.
+numpy instead.  Inputs and outputs are numpy arrays.
 
 The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
-``quadratic_coefficients``, ``resultant``, ``clause_code``) use only ring
-operations, integer constants and division by integers, so the same
-functions also evaluate Gaussian rationals, which is how exact mode decides
-its identities.
+``quadratic_coefficients``, ``resultant``, ``clause_code``, ``hessian``,
+``quartic_invariants``) use only ring operations, integer constants and
+division by integers, so the same functions also evaluate Gaussian
+rationals, which is how exact mode decides its identities.
 
 Verdict codes used by ``tri_codes_batch``:
 
@@ -107,6 +105,24 @@ def resultant(f, g):
     a2, b2, c2 = g
     d = a1 * c2 - a2 * c1
     return d * d - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
+
+
+def hessian(c0, c1, c2, c3, c4):
+    """Coefficients (x^4 first) of 48 times the Hessian covariant of the
+    binary quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4; it
+    vanishes identically exactly when the quartic is a fourth power."""
+    return (8 * c0 * c2 - 3 * c1 * c1, 24 * c0 * c3 - 4 * c1 * c2,
+            48 * c0 * c4 + 6 * c1 * c3 - 4 * c2 * c2, 24 * c1 * c4 - 4 * c2 * c3,
+            8 * c2 * c4 - 3 * c3 * c3)
+
+
+def quartic_invariants(c0, c1, c2, c3, c4):
+    """Invariants (I, J) of the same binary quartic, 12 and 432 times the
+    classical ones: both vanish exactly when it has a root of multiplicity
+    three or more, and 4 I^3 - J^2 is 27 times its discriminant."""
+    i = 12 * c0 * c4 - 3 * c1 * c3 + c2 * c2
+    j = 72 * c0 * c2 * c4 + 9 * c1 * c2 * c3 - 27 * (c0 * c3 * c3 + c1 * c1 * c4) - 2 * c2 * c2 * c2
+    return i, j
 
 
 def clause_code(c1, c2, c3):

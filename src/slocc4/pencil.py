@@ -11,7 +11,6 @@ polynomial kernels and is self-validated by an evaluation identity.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -176,11 +175,6 @@ _QUARTIC_NODES = np.array(kernels.NODES, dtype=np.complex128)
 _QUADRATIC_NODES = _QUARTIC_NODES[:3]
 
 
-def _ghz_at_nodes(p0, p1):
-    elems = kernels.pencil_elements(p0, p1, _QUARTIC_NODES)
-    return kernels.ghz_invariant_batch(elems)
-
-
 def quartic(phi0, phi1) -> QuarticForm:
     """Quartic form equal to the GHZ criterion of ``x phi0 + y phi1``.
 
@@ -191,7 +185,9 @@ def quartic(phi0, phi1) -> QuarticForm:
     ``_check_inputs``).
     """
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    c = kernels.quartic_coefficients(*_ghz_at_nodes(p0, p1))
+    c = kernels.quartic_coefficients(
+        *kernels.ghz_invariant_batch(kernels.pencil_elements(p0, p1, _QUARTIC_NODES))
+    )
     return QuarticForm(c=np.array(c), amp_scale=max(s0, s1))
 
 
@@ -201,11 +197,8 @@ def clause_quadratics(phi0, phi1) -> tuple:
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
     q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, _QUADRATIC_NODES))
     alpha, beta, gamma = kernels.quadratic_coefficients(*q)
-    scale = max(s0, s1)
-    forms = tuple(
-        QuadraticForm(c=np.array([alpha[i], beta[i], gamma[i]]), amp_scale=scale)
-        for i in range(6)
-    )
+    forms = tuple(QuadraticForm(c=np.array(abc), amp_scale=max(s0, s1))
+                  for abc in zip(alpha, beta, gamma))
     return (forms[0:2], forms[2:4], forms[4:6])
 
 
@@ -237,9 +230,7 @@ def _raw_projective_roots(coeffs, eps: float) -> list:
     if len(tail) == 2:
         points.append(ProjectivePoint(-tail[1] / tail[0], 1, 1))
     elif len(tail) == 3:
-        points.extend(
-            ProjectivePoint(r, 1, 1) for r in _quadratic_formula(*tail)
-        )
+        points.extend(ProjectivePoint(r, 1, 1) for r in _quadratic_formula(*tail))
     elif len(tail) > 3:
         points.extend(ProjectivePoint(r, 1, 1) for r in _companion_roots(tail))
     return points
@@ -261,16 +252,9 @@ def _companion_roots(p) -> list:
     return roots + [0j] * trailing
 
 
-def _projective_roots(coeffs, eps: float) -> list:
-    """Roots of a binary form, clustered with radius ``sqrt(eps)``."""
-    return cluster_points(_raw_projective_roots(coeffs, eps), math.sqrt(eps))
-
-
 def cluster_points(points, radius: float) -> list:
     """Greedy clustering of projective points; multiplicities are summed
     and each cluster is replaced by a phase-aligned weighted mean."""
-    if len(points) <= 1:
-        return list(points)
     clusters = []
     for p in points:
         for members in clusters:
@@ -298,110 +282,180 @@ def cluster_points(points, radius: float) -> list:
     return merged
 
 
-def _merge_root_groups(points, eps: float) -> list:
-    """Multiplicity-aware clustering of the (at most four) quartic roots.
+# Root multiplicities of a quartic f = c0 x^4 + c1 x^3 y + .. + c4 y^4 come
+# from its covariants (Olver, Classical Invariant Theory, 1999; Salmon,
+# Modern Higher Algebra): with h = kernels.hessian(c), (I, J) =
+# kernels.quartic_invariants(c) and D = 4 I^3 - J^2,
+#   D != 0                      four simple roots,
+#   h = 0                       one 4-fold root,
+#   I = J = 0                   3+1,
+#   f and h proportional        2+2 (f is a square exactly when the Jacobian
+#                               of f and h, the sextic covariant, vanishes),
+#   otherwise (D = 0)           2+1+1.
+# Every coefficient carries an absolute error of at most _NOISE s^4 (s =
+# ``amp_scale``, the largest amplitude magnitude of the pencil vectors).
+# ``quartic_roots`` first scales the coefficients by the power of two that
+# brings max |c_i| into [0.5, 1), which is exact and turns that bound into
+# nu; then a quantity X moves by at most nu sum_i |dX/dc_i| to first order:
+#   I by e_I and J by e_J, their gradients evaluated at c plus their
+#   second-order parts, below 16 nu^2 and 411 nu^2;
+#   D by nu sum_i |12 I^2 dI/dc_i - 2 J dJ/dc_i| plus the higher terms of
+#   its expansion in the changes of I and J, and by the rounding of I, J
+#   and D themselves, below 2^-40 (|I|^2 + |J|);
+#   each coefficient of h by 116 nu (the largest gradient sum, that of
+#   48 c0 c4 + 6 c1 c3 - 4 c2^2), and each 2x2 minor f_i h_j - f_j h_i by
+#   2 nu (116 + max |h_j|).
+# The gradient of D vanishes at the 2+2, 3+1 and 4-fold patterns and that
+# of J at the 4-fold one, so bounds evaluated at c stay consistent near
+# them where constant ones (32 nu for I, 411 nu for J) would not.
+# A quantity within its bound is zero, one above _BAND times it is nonzero,
+# and one in between raises AmbiguousClassification.
+# nu: ``analyze_span`` passes the quartic of two vectors with largest
+# magnitude 1.  kernels.ghz on a row of magnitudes <= A is off by at most
+# 424 u A^4 (u = 2^-53), forming the rows at the nodes adds 128 u A^4, and
+# with A = 1, 1, 2, 2, 3 at the five nodes the interpolation makes that at
+# most about 3.5e4 u in every coefficient, below _NOISE = 2^-37 (6.6e4 u).
+# Measured on 6000 pencils of SLOCC images of the ten families (rounded
+# inputs included), every test of a true multiple root read at most 1e-2
+# of its bound and every other test at least 1e6 times it; on 6000 Gaussian
+# pencils the discriminant read at least 2e7 times its bound, and the share
+# of pencils below a ratio grows in proportion to it.
+# The pencil basis is normalized, not orthonormal: a basis whose Gram
+# matrix has condition k shrinks the true value of a degree-d invariant by
+# up to k^d against max |c_i|^d but leaves nu as it is, so the nonzero
+# margins above shrink with k (up to 8e2 in the measured pencils), and a
+# badly conditioned pencil with simple roots reaches the band, where it
+# raises, before the zero side.
+_NOISE = 2.0**-37
+_BAND = 32.0
 
-    A root of multiplicity m scatters by O(noise^(1/m)) under coefficient
-    perturbation, so a group of total multiplicity M is merged when its
-    chordal diameter fits within eps^(1/M); for simple pairs this reduces
-    to the sqrt(eps) radius.  Largest consistent groups are merged first.
-    No group can merge once every pairwise distance exceeds the radius of
-    the largest total multiplicity.
-    """
-    pts = list(points)
-    while len(pts) > 1:
-        dist = {
-            pair: pts[pair[0]].chordal(pts[pair[1]])
-            for pair in combinations(range(len(pts)), 2)
-        }
-        if min(dist.values()) > eps ** (1.0 / sum(p.multiplicity for p in pts)):
-            break
-        best = None
-        for size in range(len(pts), 1, -1):
-            for subset in combinations(range(len(pts)), size):
-                total = sum(pts[i].multiplicity for i in subset)
-                diam = max(dist[pair] for pair in combinations(subset, 2))
-                if diam <= eps ** (1.0 / total) and (best is None or diam < best[0]):
-                    best = (diam, subset)
-            if best is not None:
-                break
-        if best is None:
-            break
-        group = [pts[i] for i in best[1]]
-        rest = [p for i, p in enumerate(pts) if i not in best[1]]
-        pts = rest + cluster_points(group, 2.0)
-    return pts
+
+def _vanishes(value, bound, what) -> bool:
+    """Zero test of a covariant value against its noise bound."""
+    if value <= bound or value >= _BAND * bound:
+        return value <= bound
+    raise AmbiguousClassification(f"quartic {what} at {value / bound:.3g} times its noise "
+                                  f"bound, between the zero (1) and nonzero ({_BAND:g}) thresholds")
 
 
-def _polish_multiple_root(coeffs, pt: ProjectivePoint, eps: float) -> ProjectivePoint:
-    """Refine a multiple root as a simple root of the (m-1)-th derivative.
+def _fourfold_root(c, multiplicity) -> ProjectivePoint:
+    """The root of a quartic (a x + b y)^4: -b/a, in the chart with the larger
+    leading coefficient."""
+    if abs(c[0]) >= abs(c[4]):
+        return ProjectivePoint(-c[1], 4 * c[0], multiplicity)
+    return ProjectivePoint(4 * c[4], -c[3], multiplicity)
 
-    Multiple roots of the perturbed quartic scatter widely, but the
-    corresponding root of the derivative polynomial is simple and moves
-    only by the coefficient perturbation itself.
-    """
-    m = pt.multiplicity
-    if m < 2:
-        return pt
-    c = np.asarray(coeffs, dtype=np.complex128)
-    x_chart = abs(pt.x) >= abs(pt.y)
-    if x_chart:
-        asc = c  # F(1, u) = sum_j c[j] u^j with u = y/x
-        u0 = pt.y / pt.x
+
+def _simple_beside_triple(c, triple) -> ProjectivePoint:
+    """The simple root of f = (a x + b y)^3 (g x + d y), given the triple root,
+    divided out at the larger of a and b."""
+    a, b = triple.y, -triple.x
+    if abs(a) >= abs(b):
+        g = c[0] / a**3
+        return ProjectivePoint((3 * a * a * b * g - c[1]) / a**3, g, 1)
+    d = c[4] / b**3
+    return ProjectivePoint(-d, (c[3] - 3 * a * b * b * d) / b**3, 1)
+
+
+#: Real unit anchors of the charts of ``_double_roots``.  Any three points
+#: leave one anchor at chordal distance 0.35 or more from all of them.
+_ANCHORS = ((1.0, 0.0), (0.0, 1.0), (0.5**0.5, 0.5**0.5), (0.5**0.5, -(0.5**0.5)))
+
+
+def _double_roots(c, square: bool) -> list:
+    """The roots of a quartic with a double root: two double roots when it
+    is a square, else one double and two simple roots.
+
+    The chart puts at infinity the anchor with the largest |f|: with
+    g(t, 1) = f(a t - b, b t + a), g's leading coefficient is f(a, b).  For
+    a square, g / g0 = (t^2 + p t + r)^2; otherwise the double root d is the
+    root of the linear gcd of g(t, 1) and its derivative, and deflating
+    (t - d)^2 leaves the quadratic of the simple roots."""
+    def f(x, y):
+        return sum(ck * x ** (4 - k) * y**k for k, ck in enumerate(c))
+
+    a, b = max(_ANCHORS, key=lambda ab: abs(f(*ab)))
+    g0, g1, g2, g3, g4 = kernels.quartic_coefficients(*(f(a * u - b * v, b * u + a * v)
+                                                        for u, v in kernels.NODES))
+    if square:
+        p = g1 / (2 * g0)
+        roots = [(t, 2) for t in _quadratic_formula(1, p, (g2 / g0 - p * p) / 2)]
     else:
-        asc = c[::-1]  # F(v, 1) = sum_j c[4-j] v^j with v = x/y
-        u0 = pt.x / pt.y
-    poly = np.polynomial.Polynomial(asc)
-    for _ in range(m - 1):
-        poly = poly.deriv()
-    dpoly = poly.deriv()
-    u = complex(u0)
-    for _ in range(8):
-        denom = complex(dpoly(u))
-        if denom == 0:
-            break
-        step = complex(poly(u)) / denom
-        u -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(u)):
-            break
-    if not (np.isfinite(u.real) and np.isfinite(u.imag)):
-        return pt
-    refined = ProjectivePoint(1, u, m) if x_chart else ProjectivePoint(u, 1, m)
-    # keep the polish only if it stayed within the scatter neighborhood
-    if refined.chordal(pt) <= 2.0 * eps ** (1.0 / m):
-        return refined
-    return pt
+        # remainder r = 16 g0 g - (4 g0 t + g1) g', then g' modulo r
+        ra, rb, rc = 8 * g0 * g2 - 3 * g1 * g1, 12 * g0 * g3 - 2 * g1 * g2, 16 * g0 * g4 - g1 * g3
+        e = 3 * g1 * ra - 4 * g0 * rb
+        d = (e * rc - g3 * ra * ra) / (2 * g2 * ra * ra - 4 * g0 * ra * rc - e * rb)
+        p = g1 / g0 + 2 * d
+        simple = _quadratic_formula(1, p, g2 / g0 + 2 * d * p - d * d)
+        roots = [(d, 2)] + [(t, 1) for t in simple]
+    return [ProjectivePoint(a * t - b, b * t + a, m) for t, m in roots]
 
 
 def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     """All projective roots of the quartic, multiplicities summing to 4.
 
-    Roots at infinity (1 : 0) arise from vanishing leading coefficients;
-    finite roots come from companion-matrix eigenvalues of the
-    dehomogenized polynomial.  Roots are merged with a multiplicity-aware
-    radius (sqrt(eps) for simple pairs, eps^(1/M) for an M-fold group) and
-    multiple roots are re-polished on the derivative polynomial.
+    The multiplicity pattern is read from the Hessian, the invariants I and
+    J and the discriminant (see the comment above ``_NOISE``); a covariant
+    between its zero and nonzero thresholds raises
+    :class:`AmbiguousClassification`.  Multiple roots are placed in closed
+    form: a 4-fold root at -b/a, a triple root at the 4-fold root of the
+    Hessian, the roots of a square f = q^2 at the roots of q, and the double
+    root of 2+1+1 at the linear gcd of f and its derivative, and the simple
+    roots beside a multiple one by deflation.  Four simple roots are the
+    companion-matrix eigenvalues of the dehomogenized quartic, with roots
+    at infinity (1 : 0) where leading coefficients vanish within ``eps``.
     """
     if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
-    raw = _raw_projective_roots(q.c, eps)
-    merged = _merge_root_groups(raw, eps)
-    return [_polish_multiple_root(q.c, pt, eps) for pt in merged]
+    c = q.c.tolist()
+    scale = 2.0 ** -math.frexp(max(map(abs, c)))[1]
+    c0, c1, c2, c3, c4 = c = [z * scale for z in c]
+    nu = _NOISE * q.amp_scale**4 * scale
+    i, j = kernels.quartic_invariants(*c)
+    grad_i = (12 * c4, -3 * c3, 2 * c2, -3 * c1, 12 * c0)
+    grad_j = (72 * c2 * c4 - 27 * c3 * c3, 9 * c2 * c3 - 54 * c1 * c4,
+              72 * c0 * c4 + 9 * c1 * c3 - 6 * c2 * c2, 9 * c1 * c2 - 54 * c0 * c3,
+              72 * c0 * c2 - 27 * c1 * c1)
+    ai, aj, wi, wj = abs(i), abs(j), 12 * i * i, 2 * j
+    e_i = nu * (sum(map(abs, grad_i)) + 16 * nu)
+    e_j = nu * (sum(map(abs, grad_j)) + 411 * nu)
+    disc_bound = (nu * sum([abs(wi * di - wj * dj) for di, dj in zip(grad_i, grad_j)])
+                  + nu * nu * (192 * ai * ai + 822 * aj) + 12 * ai * e_i * e_i + 4 * e_i**3
+                  + e_j * e_j + 2.0**-40 * (ai * ai + aj))
+    if not _vanishes(abs(4 * i**3 - j * j), disc_bound, "discriminant"):
+        roots = _raw_projective_roots(q.c, eps)
+        if roots[1].at_infinity:
+            raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
+        return roots
+    h = kernels.hessian(*c)
+    h_max = max(map(abs, h))
+    if _vanishes(h_max, 116 * nu, "Hessian"):
+        return [_fourfold_root(c, 4)]
+    if _vanishes(max(ai / e_i, aj / e_j), 1.0, "invariants I, J"):
+        triple = _fourfold_root(h, 3)
+        return [triple, _simple_beside_triple(c, triple)]
+    minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
+    return _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "square test"))
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
+    """Roots of a quadratic form, clustered with radius ``sqrt(eps)``."""
     if f.identically_zero(eps):
         return []
-    return _projective_roots(f.c, eps)
+    return cluster_points(_raw_projective_roots(f.c, eps), math.sqrt(eps))
 
 
 def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -> list:
     """Common projective roots of a clause pair.
 
-    Existence is decided by the resultant; localization matches the root
-    lists pairwise.  A form that vanishes identically contributes the other
-    form's roots (if both vanish, every point is common and the caller must
-    handle the clause as identically false).
+    Existence is decided by the resultant.  A shared root is then the root of
+    the linear form in one subresultant step: a2 f - a1 g = y (l0 x + l1 y),
+    or c2 f - c1 g = x (l0 x + l1 y) in the chart with the larger y^2
+    coefficients.  When that linear form vanishes too, f and g are
+    proportional and share both roots, taken from the larger form.  A form
+    that vanishes identically contributes the other form's roots (if both
+    vanish, every point is common and the caller must handle the clause as
+    identically false).
     """
     fz = f.identically_zero(eps)
     gz = g.identically_zero(eps)
@@ -411,24 +465,24 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
         return _quadratic_roots(g, eps)
     if gz:
         return _quadratic_roots(f, eps)
+    scale = float(np.abs(f.c).max()) * float(np.abs(g.c).max())
     if f.exact is not None and g.exact is not None:
         if kernels.resultant(f.exact, g.exact):
             return []
+    elif abs(complex(kernels.resultant(f.c, g.c))) > eps * scale**2:
+        return []
+    a1, b1, c1 = f.c.tolist()
+    a2, b2, c2 = g.c.tolist()
+    if max(abs(a1), abs(a2)) >= max(abs(c1), abs(c2)):
+        l0, l1 = a2 * b1 - a1 * b2, a2 * c1 - a1 * c2
     else:
-        scale = float(np.abs(f.c).max()) * float(np.abs(g.c).max())
-        if abs(complex(kernels.resultant(f.c, g.c))) > eps * scale**2:
-            return []
-    radius = math.sqrt(eps)
-    rf = _quadratic_roots(f, eps)
-    rg = _quadratic_roots(g, eps)
-    matched = [pf for pf in rf if any(pf.chordal(pg) <= radius for pg in rg)]
-    return cluster_points(matched, radius)
-
-
-def _span_dim2_or_raise(p0, p1, eps):
-    lo, hi = _herm2_eigs(p0, p1)
-    if lo <= eps * hi:
-        raise DegeneratePencil("spanning vectors are linearly dependent")
+        l0, l1 = c2 * a1 - c1 * a2, c2 * b1 - c1 * b2
+    # two forms a relative distance r from proportional have a resultant of
+    # order r^2 and a linear form of order r; of two proportional forms the
+    # larger one has the smaller relative error
+    if max(abs(l0), abs(l1)) <= math.sqrt(eps) * scale:
+        return _quadratic_roots(max(f, g, key=lambda form: float(np.abs(form.c).max())), eps)
+    return [ProjectivePoint(-l1, l0)]
 
 
 class _ExactContext:
@@ -476,10 +530,10 @@ def analyze_span(
     roots, classified individually, are the exceptional points.  If it
     vanishes identically the generic type is established by two fixed
     pseudorandom probes (in exact mode, by which clause pairs vanish
-    identically) and the exceptional candidates are the endpoints,
-    the roots of every clause quadratic, and the matched common roots of
-    each clause pair; candidates are kept when their class differs from
-    the generic one.
+    identically) and the exceptional candidates are the endpoints and
+    the common roots of each clause pair (a clause fails exactly where
+    both of its quadratics vanish); candidates are kept when their class
+    differs from the generic one.
 
     In exact mode all identity decisions (quartic and clause-form
     vanishing, resultants, the generic type) are exact, and candidate
@@ -491,7 +545,9 @@ def analyze_span(
     to numeric semantics instead of classifying the noise.
     """
     p0_raw, p1_raw, s0, s1 = _check_inputs(phi0, phi1)
-    _span_dim2_or_raise(p0_raw, p1_raw, eps)
+    lo, hi = _herm2_eigs(p0_raw, p1_raw)
+    if lo <= eps * hi:
+        raise DegeneratePencil("spanning vectors are linearly dependent")
 
     p0 = p0_raw / s0
     p1 = p1_raw / s1
@@ -596,8 +652,6 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
     for (fa, fb), keep in zip(pairs, live):
         if keep:
             candidates.extend(common_roots(fa, fb, eps))
-            candidates.extend(_quadratic_roots(fa, eps))
-            candidates.extend(_quadratic_roots(fb, eps))
 
     centroids = [
         pt if pt.multiplicity == 1 else ProjectivePoint(pt.x, pt.y, 1)

@@ -384,7 +384,7 @@ def state_from_json(obj) -> PureState:
         amps = obj["amps"]
     except (KeyError, TypeError) as exc:
         raise StateFormatError("state JSON needs 'n' and 'amps' fields") from exc
-    if not isinstance(n, int) or not 1 <= n <= 4:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 4:
         raise StateFormatError(f"'n' must be an integer in 1..4, got {n!r}")
     if not isinstance(amps, list) or len(amps) != 2**n:
         raise StateFormatError(f"'amps' must list 2^{n} = {2**n} entries")
@@ -396,13 +396,11 @@ def state_from_json(obj) -> PureState:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
             raise StateFormatError(f"amplitude {i} must be a [re, im] number pair")
-        vec[i] = complex(entry[0], entry[1])
-    try:
-        return PureState(vec)
-    except StateFormatError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise StateFormatError(str(exc)) from exc
+        try:
+            vec[i] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise StateFormatError(f"amplitude {i} is too large for a float") from None
+    return PureState(vec)
 
 
 def load_state(fp) -> PureState:

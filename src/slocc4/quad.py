@@ -136,7 +136,6 @@ def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
     """Decision table on a span profile, in the least-entanglement order."""
     sep_points = [pt for pt, cls in profile.exceptional if cls == TriClass.SEP000]
     bisep = [(pt, cls.cut) for pt, cls in profile.exceptional if cls.cut is not None]
-    ghz_points = [pt for pt, cls in profile.exceptional if cls == TriClass.GHZ]
     generic_ghz = not profile.quartic_identically_zero
     generic_w = profile.quartic_identically_zero and profile.generic_type == TriClass.W
 
@@ -174,13 +173,9 @@ def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
     # no separable points of any kind
     if generic_ghz:
         if not profile.w_points:
-            if ghz_points or not profile.exceptional:
-                raise InternalContradiction(
-                    "pencil of GHZ generic type reports only GHZ elements; "
-                    "the all-GHZ span is provably empty"
-                )
             raise InternalContradiction(
-                "GHZ-generic pencil without W or separable exceptional points"
+                "GHZ-generic pencil without W or separable exceptional points; "
+                "the all-GHZ span is provably empty"
             )
         return verdict(QuadTag.WGHZ_W)
     return verdict(QuadTag.WW_W)

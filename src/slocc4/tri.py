@@ -93,27 +93,28 @@ def ghz_invariant(a) -> complex:
     return complex(kernels.ghz_invariant_batch(arr.reshape(1, 8))[0])
 
 
-def w_clauses(a, eps: float = DEFAULT_EPS) -> ClauseReport:
+def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
     """Evaluate the six clause quantities and the three clause truths.
 
     A state whose largest magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``] is first rescaled by an exact power of two, and
-    the report holds the values of the rescaled state."""
+    the report holds the values of the rescaled state.  In exact mode the
+    values come from the exact lift and a clause is true when one of its
+    quantities is not exactly zero."""
     arr = _as_amp8(a)
     scale = float(np.abs(arr).max())
     if scale and not kernels.SCALE_LO <= scale <= kernels.SCALE_HI:
         arr = kernels.pow2_scaled(arr, scale)
         scale = float(np.abs(arr).max())
-    q = kernels.clause_quantities_batch(arr.reshape(1, 8))[0]
-    thresh = eps * scale * scale
-    truth = tuple(
-        bool(abs(q[2 * k]) > thresh or abs(q[2 * k + 1]) > thresh) for k in range(3)
-    )
-    return ClauseReport(
-        ghz_value=ghz_invariant(arr),
-        clause_truth=truth,
-        quantities=tuple(complex(v) for v in q),
-    )
+    if exact:
+        lifted = _exact.lift(arr)
+        ghz, q = kernels.ghz(*lifted), kernels.clauses(*lifted)
+        truth = [q[2 * k] or q[2 * k + 1] for k in range(3)]
+    else:
+        ghz, q = ghz_invariant(arr), kernels.clause_quantities_batch(arr.reshape(1, 8))[0]
+        thresh = eps * scale * scale
+        truth = [abs(q[2 * k]) > thresh or abs(q[2 * k + 1]) > thresh for k in range(3)]
+    return ClauseReport(complex(ghz), tuple(map(bool, truth)), tuple(map(complex, q)))
 
 
 def _class_from_code(code: int, where="state") -> TriClass:

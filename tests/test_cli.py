@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -122,6 +124,47 @@ def test_explain_three_qubits(tmp_path, capsys):
     assert obj["ghz_value"] == [0.0, 0.0]
     assert obj["clause_truth"] == [True, True, True]
     assert obj["quantities"] == [[-1, 0], [0, 0], [1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+def test_exact_explain_three_qubits_uses_exact_clauses(tmp_path, capsys):
+    # float mode finds exactly two clauses true and refuses the state; under
+    # --exact the report comes from the exact lift, where all three hold
+    path = write_state(tmp_path, [1, 1, 1, 0, 1e-12, 1e-5, 0, 0])
+    code, out, _ = run_cli(capsys, "classify", path, "--exact", "--explain")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["class"] == "GHZ"
+    assert obj["clause_truth"] == [True, True, True]
+    assert obj["ghz_value"][0] != 0.0
+    assert obj["quantities"][5] == [1e-12, 0.0]
+    code, _, err = run_cli(capsys, "classify", path, "--explain")
+    assert code == 1 and "two W-condition clauses" in err
+
+
+def test_classify_huge_json_integer(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text('{"n": 2, "amps": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [1, 0]]}')
+    code, out, err = run_cli(capsys, "classify", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("slocc4: amplitude 0") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy serves only the test-only oracle
+    path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
+    src = os.path.dirname(os.path.dirname(sys.modules["slocc4"].__file__))
+    code = (
+        "import sys, slocc4\n"
+        "from slocc4 import cli\n"
+        f"status = cli.main(['classify', {path!r}])\n"
+        "assert status == 0, status\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_classify_all_distinguished_explain(tmp_path, capsys):

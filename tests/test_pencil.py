@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slocc4 import (
+    AmbiguousClassification,
     DegeneratePencil,
     IdenticallyZero,
     ProjectivePoint,
@@ -17,7 +18,8 @@ from slocc4 import (
     quartic_roots,
 )
 from slocc4.canonical import FamilySpec, canonical_pencil, okpsi_w_phi0, ww_phi0
-from slocc4.pencil import QuarticForm, _polish_multiple_root, cluster_points, common_roots
+from slocc4 import pencil
+from slocc4.pencil import QuarticForm, cluster_points, common_roots
 from slocc4.qstate import DEFAULT_EPS, PureState
 
 from conftest import GHZ3, W3, iva1_phi0
@@ -136,35 +138,6 @@ class TestQuarticRoots:
             quartic_roots(q)
 
 
-def reference_quartic_roots(c, eps=1e-9):
-    """quartic_roots as first written: np.roots for the finite roots and an
-    exhaustive subset search for the multiplicity-aware merge."""
-    cmax = float(np.abs(c).max())
-    k = 0
-    while k < len(c) - 1 and abs(c[k]) <= eps * cmax:
-        k += 1
-    pts = [ProjectivePoint(1, 0, 1) for _ in range(k)]
-    pts.extend(ProjectivePoint(r, 1, 1) for r in np.roots(c[k:]))
-    merged = True
-    while merged and len(pts) > 1:
-        merged = False
-        for size in range(len(pts), 1, -1):
-            best = None
-            for subset in combinations(range(len(pts)), size):
-                group = [pts[i] for i in subset]
-                total = sum(p.multiplicity for p in group)
-                diam = max(a.chordal(b) for a, b in combinations(group, 2))
-                if diam <= eps ** (1.0 / total) and (best is None or diam < best[0]):
-                    best = (diam, subset)
-            if best is not None:
-                group = [pts[i] for i in best[1]]
-                rest = [p for i, p in enumerate(pts) if i not in best[1]]
-                pts = rest + cluster_points(group, 2.0)
-                merged = True
-                break
-    return [_polish_multiple_root(c, pt, eps) for pt in pts]
-
-
 def form_with_roots(roots):
     """Coefficients (highest power of x first) of prod (b x - a y) over the
     projective roots (a : b)."""
@@ -183,50 +156,85 @@ def spread(center, diameter, count):
     return [(center + d * scale, 1) for d in offsets]
 
 
+def noisy(c, size, seed):
+    """``c`` plus an error of absolute size ``size`` in every coefficient."""
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(c))
+    return c + size * np.exp(1j * phases)
+
+
+def relative_noise(c, seed):
+    """``c`` with a relative error of 1e-15 in every coefficient."""
+    return c * (1 + noisy(np.zeros(len(c)), 1e-15, seed))
+
+
 EPS = 1e-9
-#: name -> (roots, expected sorted multiplicities, localization tolerance)
-ROOT_CASES = {
-    "one_at_infinity": ([(1, 0), (0.3, 1), (-1 + 1j, 1), (2j, 1)], [1, 1, 1, 1], 1e-8),
-    "two_at_infinity": ([(1, 0), (1, 0), (0.5 - 0.5j, 1), (-2, 1)], [1, 1, 2], 1e-8),
-    "one_at_zero": ([(0, 1), (0.3, 1), (-1 + 1j, 1), (2j, 1)], [1, 1, 1, 1], 1e-8),
-    "two_at_zero": ([(0, 1), (0, 1), (0.5 - 0.5j, 1), (-2, 1)], [1, 1, 2], 1e-8),
+#: exact multiple-root patterns: name -> (roots, sorted multiplicities)
+PATTERNS = {
+    "2+2": ([(0.4 + 0.1j, 1)] * 2 + [(-1.5 + 0.7j, 1)] * 2, [2, 2]),
+    "3+1": ([(0.2 - 0.6j, 1)] * 3 + [(1.7, 1)], [1, 3]),
+    "4": ([(-0.3 + 0.2j, 1)] * 4, [4]),
+    "2+1+1": ([(0.6j, 1)] * 2 + [(-0.8, 1), (1.3 + 0.4j, 1)], [1, 1, 2]),
 }
-# groups of total multiplicity M spread to just inside and just outside the
-# merge radius eps^(1/M)
-for name, factor in (("inside", 0.8), ("outside", 1.25)):
-    merged = name == "inside"
-    d2, d3, d4 = (factor * EPS ** (1 / m) for m in (2, 3, 4))
-    ROOT_CASES[f"2+2_{name}"] = (
-        spread(0.4 + 0.1j, d2, 2) + spread(-1.5 + 0.7j, d2, 2),
-        [2, 2] if merged else [1, 1, 1, 1],
-        d2,
+#: name -> (coefficients, sorted multiplicities, roots, localization tolerance)
+ROOT_CASES = {
+    name: (form_with_roots(roots), mults, roots, 1e-8)
+    for name, roots, mults in (
+        ("one_at_infinity", [(1, 0), (0.3, 1), (-1 + 1j, 1), (2j, 1)], [1, 1, 1, 1]),
+        ("two_at_infinity", [(1, 0), (1, 0), (0.5 - 0.5j, 1), (-2, 1)], [1, 1, 2]),
+        ("one_at_zero", [(0, 1), (0.3, 1), (-1 + 1j, 1), (2j, 1)], [1, 1, 1, 1]),
+        ("two_at_zero", [(0, 1), (0, 1), (0.5 - 0.5j, 1), (-2, 1)], [1, 1, 2]),
     )
-    ROOT_CASES[f"3+1_{name}"] = (
-        spread(0.2 - 0.6j, d3, 3) + [(1.7, 1)],
-        [1, 3] if merged else [1, 1, 1, 1],
-        d3,
-    )
-    ROOT_CASES[f"4_{name}"] = (
-        spread(-0.3 + 0.2j, d4, 4),
-        [4] if merged else [1, 1, 1, 1],
-        d4,
-    )
+}
+for name, (roots, mults) in PATTERNS.items():
+    c = form_with_roots(roots)
+    ROOT_CASES[f"{name}_noise"] = (relative_noise(c, 1), mults, roots, 1e-9)
+    # an error of the full noise bound in every coefficient, the largest
+    # the zero thresholds accept
+    ROOT_CASES[f"{name}_inside"] = (noisy(c, pencil._NOISE, 2), mults, roots, 1e-8)
+# distinct roots closer than the old merge windows eps^(1/M), yet resolved:
+# a close pair, two close pairs, a spread triple and a spread quadruple
+for name, roots in {
+    "2+1+1": spread(0.6j, 1e-4, 2) + [(-0.8, 1), (1.3 + 0.4j, 1)],
+    "2+2": spread(0.4 + 0.1j, 1e-2, 2) + spread(-1.5 + 0.7j, 1e-2, 2),
+    "3+1": spread(0.2 - 0.6j, 1e-2, 3) + [(1.7, 1)],
+    "4": spread(-0.3 + 0.2j, 3e-2, 4),
+}.items():
+    c = relative_noise(form_with_roots(roots), 3)
+    ROOT_CASES[f"{name}_outside"] = (c, [1, 1, 1, 1], roots, 1e-9)
 
 
 class TestQuarticRootsReference:
+    """Roots and multiplicities against the roots the quartic was built from."""
+
     @pytest.mark.parametrize("case", sorted(ROOT_CASES))
     def test_matches_reference(self, case):
-        roots, multiplicities, tol = ROOT_CASES[case]
-        c = form_with_roots(roots)
+        c, multiplicities, roots, tol = ROOT_CASES[case]
         got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
-        want = reference_quartic_roots(c, EPS)
-        assert [p.multiplicity for p in got] == [p.multiplicity for p in want]
         assert sorted(p.multiplicity for p in got) == multiplicities
-        for p, q in zip(got, want):
-            assert p.chordal(q) <= 1e-12
         for a, b in roots:
             target = ProjectivePoint(a, b)
-            assert min(p.chordal(target) for p in got) <= tol
+            nearest = min(got, key=target.chordal)
+            assert nearest.chordal(target) <= tol
+            assert nearest.multiplicity == roots.count((a, b))
+
+    def test_between_thresholds_raises(self):
+        # a double root split by 1.3e-5: its discriminant is about 6 times
+        # its noise bound, between the zero threshold (1) and the nonzero
+        # one (32); splits of 5e-6 and 3e-5 reach the two ends
+        c = form_with_roots(spread(0.6j, 1.3e-5, 2) + [(-0.8, 1), (1.3 + 0.4j, 1)])
+        with pytest.raises(AmbiguousClassification):
+            quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
+
+    def test_thresholds_follow_amplitude_scale(self):
+        # the same quartic from vectors 2^10 larger has 2^40 larger
+        # coefficients and the same roots
+        c = form_with_roots(PATTERNS["3+1"][0])
+        c = noisy(c, pencil._NOISE, 4)
+        small = quartic_roots(QuarticForm(c=c, amp_scale=1.0))
+        large = quartic_roots(QuarticForm(c=c * 2.0**40, amp_scale=2.0**10))
+        assert [(p.x, p.y, p.multiplicity) for p in small] == [
+            (p.x, p.y, p.multiplicity) for p in large
+        ]
 
 
 class TestClauseQuadratics:

@@ -206,3 +206,71 @@ class TestClassify4All:
         state = make_canonical(FamilySpec("W0iPsi_0jPsi"))
         _, label = classify4_all(state)
         assert "W0iPsi_0jPsi(1,2)" in label
+
+
+#: SLOCC images of canonical families that were once misclassified: a
+#: multiple quartic root read as four simple W roots (the first two), and
+#: one common clause root read as two points (the third).  Amplitudes are
+#: perfbench's families-all inputs, as (seed, input index).
+REGRESSIONS = {
+    (305, 501): (3, "W000_GHZ", [
+        complex(0.45823066301585225, -0.7433976113414045),
+        complex(0.14147252620628425, 0.8401009471740987),
+        complex(0.4924321853488412, -0.4358083319784233),
+        complex(0.4589256307412722, 0.37613237655244525),
+        complex(1.053817369960127, -0.3548712917013115),
+        complex(-0.5453412841656899, 0.9377330623367083),
+        complex(0.4008650689036136, 0.5506867203544935),
+        complex(0.0891812984658958, 0.039250148380680014),
+        complex(-0.7663385065337799, 1.1280973331749895),
+        complex(-0.1625821344068111, -1.320459272182422),
+        complex(-1.5609110131796768, 1.1427849220090205),
+        complex(-0.454169734216366, -1.4738966622285437),
+        complex(-1.6744911865577274, 0.47876762482465524),
+        complex(0.9212356339026018, -1.4275733916383062),
+        complex(-0.05351239744785465, -0.6982835273543926),
+        complex(-0.650630732094792, 0.1363700634779039),
+    ]),
+    (2008, 1736): (1, "W0Psi_GHZ(1)", [
+        complex(0.18654786830092218, 0.8747034340488394),
+        complex(-0.2485893094161879, 1.2549709009455277),
+        complex(-0.03522955550363222, 0.20894609221725585),
+        complex(-0.40263689939317016, -0.17543234360565574),
+        complex(1.1091998061817108, 0.08586261717575533),
+        complex(1.4088512544640246, 0.7380078031116841),
+        complex(0.23696808831363164, 0.11610930117598377),
+        complex(-0.3522052353806969, 0.41936545923621144),
+        complex(-2.0094860753946238, 0.5820741999788164),
+        complex(-1.4972528358039023, -1.9778144831489863),
+        complex(0.3687819034614921, -0.9283722842850743),
+        complex(0.7913327907300713, -0.4280599622222748),
+        complex(0.35991685164085746, 2.9957483747906672),
+        complex(-2.9657324769974225, 2.3586923694945976),
+        complex(-0.7614538782632067, -0.8299343467725323),
+        complex(0.22217625051654064, -0.821989055280665),
+    ]),
+    (2009, 2497): (4, "W0kPsi_W(3)", [
+        complex(8.441128623773494, -16.326904828999712),
+        complex(-25.392627572724095, 11.452475237028562),
+        complex(15.274505080847996, 4.335857127043141),
+        complex(-14.327134338167374, -18.702862160373954),
+        complex(-28.25871335011458, 8.058007673720297),
+        complex(41.15407761521039, 17.02052085886318),
+        complex(-11.685234713328194, -22.53578694647487),
+        complex(-6.081625286254853, 37.17239033285853),
+        complex(2.4887959079602497, 5.204456318172786),
+        complex(4.536813462398283, -6.624089553315709),
+        complex(-3.3924122156145953, 2.617127864146512),
+        complex(5.823785492987442, 2.3478427163552755),
+        complex(4.012140501554099, -7.656948080366161),
+        complex(-12.598092278126813, 0.21659725417629644),
+        complex(6.083169610815338, 1.8188999072198881),
+        complex(-2.1831473725138943, -9.621905845408373),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGRESSIONS), ids="seed{0[0]}-input{0[1]}".format)
+def test_families_all_regressions(case):
+    qubit, label, amps = REGRESSIONS[case]
+    assert classify4(PureState(amps), qubit).label() == label
