@@ -8,7 +8,8 @@ fixed states; none of them is trusted by citation, each is validated by
 the classifier itself in the test suite.
 """
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,12 +112,11 @@ FAMILY_CUTS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A canonical family member: tag plus named complex parameters."""
 
     family: str
-    params: dict = field(default_factory=dict)
+    params: dict = MappingProxyType({})  # read-only: one default for every spec
     sign: int = 1
 
 

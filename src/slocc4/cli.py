@@ -7,11 +7,11 @@ diagnostics go to stderr.  Exit codes: 0 for a genuine multipartite class,
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
-from . import exact as _exact
 from .canonical import (
     FAMILY_PENCILS,
     TRI_STATES,
@@ -59,7 +59,13 @@ def _eps(text: str) -> float:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    try:
+        print(json.dumps(obj), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 without a traceback, with stdout
+        # on devnull so that the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(_EXIT_ERROR) from None
 
 
 def _pair(z) -> list:
@@ -79,6 +85,8 @@ def _classify2(state: PureState, eps: float, exact: bool):
     state, _ = _windowed(state, "classify")
     a = state.amps
     if exact:
+        from . import exact as _exact
+
         e = _exact.lift(a)
         entangled = not (e[0] * e[3] - e[1] * e[2]).is_zero
     else:
@@ -228,6 +236,8 @@ def run_fuzz_empty(
         if verbose:
             y4.append(_pair(quartic(phi0, phi1).c[4]))
         if exact:
+            from . import exact as _exact
+
             y4_exact = _exact.quartic_exact(_exact.lift(phi0.amps), _exact.lift(phi1.amps))[4]
             y4_exact_ones += int(y4_exact == _exact.GR_ONE)
     report = {

@@ -10,11 +10,10 @@ polynomial kernels and is self-validated by an evaluation identity.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import exact as _exact
 from . import kernels
 from .errors import (
     AmbiguousClassification,
@@ -26,8 +25,6 @@ from .errors import (
 )
 from .qstate import DEFAULT_EPS, PureState, _herm2_eigs
 from .tri import TriClass, _class_from_code, classify3_batch, classify3_exact_amps
-
-_PROBE_SEED = 20260809
 
 
 class ProjectivePoint:
@@ -70,8 +67,7 @@ class ProjectivePoint:
         return f"ProjectivePoint({self.x:.6g}, {self.y:.6g}, multiplicity={self.multiplicity})"
 
 
-@dataclass(frozen=True)
-class QuarticForm:
+class QuarticForm(NamedTuple):
     """Homogeneous quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4."""
 
     c: np.ndarray
@@ -86,8 +82,7 @@ class QuarticForm:
         return float(np.abs(self.c).max()) <= eps * self.amp_scale**4
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     """Homogeneous quadratic c0 x^2 + c1 xy + c2 y^2."""
 
     c: np.ndarray
@@ -104,8 +99,7 @@ class QuadraticForm:
         return float(np.abs(self.c).max()) <= eps * self.amp_scale**2
 
 
-@dataclass(frozen=True)
-class SpanProfile:
+class SpanProfile(NamedTuple):
     """Result of profiling a pencil of 3-qubit vectors."""
 
     quartic_identically_zero: bool
@@ -486,15 +480,20 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
 
 
 class _ExactContext:
-    """Exact-arithmetic companions of the float pencil data."""
+    """Exact-arithmetic companions of the float pencil data.  It imports
+    :mod:`slocc4.exact` when created, so float mode never loads it."""
 
     def __init__(self, p0, p1):
-        self.p0 = _exact.lift(p0)
-        self.p1 = _exact.lift(p1)
+        from . import exact
+
+        self.exact = exact
+        self.p0 = exact.lift(p0)
+        self.p1 = exact.lift(p1)
 
     def classify_point(self, pt: ProjectivePoint):
         """Snap a float projective point to Gaussian rationals and classify
         the pencil element there exactly."""
+        _exact = self.exact
         if abs(pt.y) >= abs(pt.x):
             x = _exact.snap_complex(pt.x / pt.y)
             y = _exact.GR_ONE
@@ -554,7 +553,7 @@ def analyze_span(
 
     ctx = _ExactContext(p0_raw, p1_raw) if exact else None
     qform = quartic(p0, p1)
-    if ctx is not None and not any(_exact.quartic_exact(ctx.p0, ctx.p1)):
+    if ctx is not None and not any(ctx.exact.quartic_exact(ctx.p0, ctx.p1)):
         return _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx)
     if qform.identically_zero(eps):
         # in exact mode the lift is off the variety at noise level only:
@@ -598,13 +597,14 @@ def _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx):
     return _build_profile(False, TriClass.GHZ, exceptional)
 
 
-def _float_probes() -> np.ndarray:
-    rng = np.random.default_rng(_PROBE_SEED)
-    xy = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    return xy / np.linalg.norm(xy, axis=1, keepdims=True)
-
-
-_FLOAT_PROBES = _float_probes()
+#: The two generic probe points (x, y), unit rows.  They are the rows of
+#: ``default_rng(20260809)``'s ``standard_normal((2, 2)) + 1j *
+#: standard_normal((2, 2))``, each divided by its norm, written out so that
+#: importing the package does not load ``numpy.random``.
+_FLOAT_PROBES = np.array([
+    [-0.24549527120333023 - 0.596496358462719j, 0.3420245328601962 - 0.6833325581876539j],
+    [0.23192163483687414 + 0.11203648647438531j, -0.7863805108923078 - 0.5614854166243496j],
+])
 
 
 def _probe_generic_type(p0, p1, eps):
@@ -635,12 +635,9 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
     # exact zero relations that normalization would round away)
     pairs = clause_quadratics(p0, p1)
     if ctx is not None:
-        exact_forms = _exact.clause_quadratics_exact(ctx.p0, ctx.p1)
+        exact_forms = ctx.exact.clause_quadratics_exact(ctx.p0, ctx.p1)
         pairs = tuple(
-            tuple(
-                QuadraticForm(c=f.c, amp_scale=f.amp_scale, exact=exact_forms[2 * k + j])
-                for j, f in enumerate(pair)
-            )
+            tuple(f._replace(exact=exact_forms[2 * k + j]) for j, f in enumerate(pair))
             for k, pair in enumerate(pairs)
         )
     live = [not (fa.identically_zero(eps) and fb.identically_zero(eps)) for fa, fb in pairs]

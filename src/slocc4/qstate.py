@@ -8,7 +8,7 @@ magnitude in the object at hand.
 """
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,14 +68,13 @@ class PureState:
         return f"PureState(n={self.n}, amps={self.amps!r})"
 
 
-@dataclass(frozen=True)
 class LocalOperator:
     """An invertible 2x2 complex matrix acting on a single qubit."""
 
-    m: np.ndarray
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.m, dtype=np.complex128)
+    def __init__(self, m):
+        arr = np.asarray(m, dtype=np.complex128)
         if arr.shape != (2, 2):
             raise DimensionMismatch("local operator must be a 2x2 matrix")
         det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
@@ -83,7 +82,10 @@ class LocalOperator:
             raise SingularOperator(f"operator determinant {det} below floor")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
+        self.m = arr
+
+    def __repr__(self):
+        return f"LocalOperator({self.m!r})"
 
     @property
     def det(self) -> complex:
@@ -97,20 +99,19 @@ class LocalOperator:
         return LocalOperator(inv)
 
 
-@dataclass(frozen=True)
 class SloccOp:
     """One invertible local operator per qubit (a SLOCC group element)."""
 
-    ops: tuple
+    __slots__ = ("ops",)
 
-    def __post_init__(self):
-        ops = tuple(
-            op if isinstance(op, LocalOperator) else LocalOperator(op)
-            for op in self.ops
-        )
+    def __init__(self, ops):
+        ops = tuple(op if isinstance(op, LocalOperator) else LocalOperator(op) for op in ops)
         if not 1 <= len(ops) <= 4:
             raise DimensionMismatch("SloccOp must act on 1..4 qubits")
-        object.__setattr__(self, "ops", ops)
+        self.ops = ops
+
+    def __repr__(self):
+        return f"SloccOp({self.ops!r})"
 
     @property
     def n(self) -> int:
@@ -124,8 +125,7 @@ class SloccOp:
         return SloccOp(tuple(op.inverse() for op in self.ops))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Split of a state as |0>|phi0> + |1>|phi1> on a distinguished qubit.
 
     ``phi0`` collects the amplitudes where the distinguished qubit is 0 and

@@ -18,9 +18,8 @@ stage and reported as Degenerate.
 """
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import exact as _exact
 from .errors import DimensionMismatch, InternalContradiction
 from .pencil import SpanProfile, analyze_span
 from .qstate import (
@@ -70,8 +69,7 @@ TAG_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class QuadClass:
+class QuadClass(NamedTuple):
     """Verdict for one choice of distinguished qubit."""
 
     tag: QuadTag
@@ -102,6 +100,8 @@ class QuadClass:
 
 
 def _exact_cut_rank(state: PureState, cut) -> int:
+    from . import exact as _exact
+
     mat = cut_matrix(state, cut)
     return _exact.exact_rank([[_exact.GaussianRational.from_complex(z) for z in row] for row in mat])
 

@@ -24,11 +24,10 @@ rationals and every zero test is exact.
 """
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import exact as _exact
 from . import kernels
 from .errors import AmbiguousClassification, DimensionMismatch
 from .qstate import DEFAULT_EPS, PureState
@@ -71,8 +70,7 @@ _CODE_TO_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class ClauseReport:
+class ClauseReport(NamedTuple):
     """Values underlying a W-condition evaluation."""
 
     ghz_value: complex
@@ -107,6 +105,8 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
         arr = kernels.pow2_scaled(arr, scale)
         scale = float(np.abs(arr).max())
     if exact:
+        from . import exact as _exact
+
         lifted = _exact.lift(arr)
         ghz, q = kernels.ghz(*lifted), kernels.clauses(*lifted)
         truth = [q[2 * k] or q[2 * k + 1] for k in range(3)]
@@ -160,5 +160,7 @@ def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:
     else:
         amps = _as_amp8(state)
     if exact:
+        from . import exact as _exact
+
         return classify3_exact_amps(_exact.lift(amps))
     return classify3_batch(amps.reshape(1, 8), eps)[0]

@@ -20,6 +20,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """Environment for a child interpreter that imports this slocc4."""
+    src = os.path.dirname(os.path.dirname(sys.modules["slocc4"].__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def write_state(tmp_path, amps, name="state.json"):
     p = tmp_path / name
     save_state(PureState(np.asarray(amps, dtype=complex)), str(p))
@@ -152,19 +158,41 @@ def test_classify_huge_json_integer(tmp_path, capsys):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # scipy serves only the test-only oracle
+    # scipy serves only the test-only oracle; a float classify call also
+    # leaves out numpy.random, dataclasses and the exact-mode modules
     path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
-    src = os.path.dirname(os.path.dirname(sys.modules["slocc4"].__file__))
+    unused = ["scipy", "numpy.random", "dataclasses", "fractions", "slocc4.exact"]
     code = (
         "import sys, slocc4\n"
         "from slocc4 import cli\n"
-        f"status = cli.main(['classify', {path!r}])\n"
+        f"status = cli.main(['classify', {path!r}, '--distinguished', 'all'])\n"
         "assert status == 0, status\n"
-        "assert 'scipy' not in sys.modules\n"
+        f"loaded = [name for name in {unused!r} if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "STATE", "--distinguished", "all"],
+    ["fuzz-empty", "--trials", "3", "--seed", "1", "--verbose"],
+])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
+    # stdout is a pipe whose reader is gone before the child writes
+    path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
+    argv = [path if a == "STATE" else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "slocc4.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_classify_all_distinguished_explain(tmp_path, capsys):

@@ -416,3 +416,11 @@ def test_cluster_points_merges_and_sums():
     assert len(merged) == 2
     infinity = [p for p in merged if p.chordal(ProjectivePoint(1, 0)) < 1e-6]
     assert infinity[0].multiplicity == 3
+
+
+def test_float_probes_are_the_seeded_unit_rows():
+    # the probe literals are the normalized rows that default_rng(20260809)
+    # gives, bit for bit
+    want = sphere_points(2, 20260809)
+    assert pencil._FLOAT_PROBES.dtype == want.dtype
+    assert pencil._FLOAT_PROBES.tobytes() == want.tobytes()
