@@ -1,6 +1,5 @@
 """SLOCC entanglement superclass classification for 2-4 qubit pure states."""
 
-from .canonical import FamilySpec, make_canonical, random_slocc
 from .errors import (
     AmbiguousClassification,
     ConstraintViolation,
@@ -45,6 +44,16 @@ from .quad import QuadClass, QuadTag, classify4, classify4_all
 from .tri import ClauseReport, TriClass, classify3, ghz_invariant, w_clauses
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # slocc4.canonical is loaded on first use: classifying needs none of it
+    if name in ("FamilySpec", "make_canonical", "random_slocc"):
+        from . import canonical
+
+        return getattr(canonical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AmbiguousClassification",

@@ -1,12 +1,14 @@
 """Hot numeric kernels for batched 3-qubit classification.
 
-The classifier calls these with one to five rows at a time, where numpy's
-per-call dispatch costs more than the arithmetic, so ``tri_codes_batch``
-is a plain loop over the rows in Python complex arithmetic.  The kernels
-whose values become polynomial coefficients (the quartic from
-``ghz_invariant_batch``, the clause quadratics from
-``clause_quantities_batch``) evaluate the same formulas column-wise in
-numpy instead.  Inputs and outputs are numpy arrays.
+The classifier works on one to five rows at a time, where numpy's
+per-call dispatch costs more than the arithmetic, so it evaluates the
+quartic's node rows with ``ghz`` and classifies rows with ``tri_code`` one
+row at a time in Python complex arithmetic (``tri_codes_batch`` is the
+same loop over an array).  The clause quadratics come from
+``clause_quantities_batch``, which evaluates the same formulas
+column-wise in numpy, as ``ghz_invariant_batch`` does for the GHZ
+criterion.  The ``*_batch`` kernels and ``pencil_elements`` take and
+return numpy arrays.
 
 The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
 ``quadratic_coefficients``, ``resultant``, ``clause_code``, ``hessian``,
@@ -147,7 +149,8 @@ def clause_quantities_batch(a):
     return np.stack(clauses(*a.T), axis=1)
 
 
-def _tri_code(row, eps):
+def tri_code(row, eps):
+    """Verdict code of one row of 8 numbers (see the table above)."""
     scale = max(map(abs, row))
     if scale == 0.0:
         return CODE_ZERO
@@ -167,7 +170,7 @@ def _tri_code(row, eps):
 
 def tri_codes_batch(a, eps):
     """Verdict code of each row of a (N, 8) array (see the table above)."""
-    return np.array([_tri_code(row, eps) for row in a.tolist()], dtype=np.int8)
+    return np.array([tri_code(row, eps) for row in a.tolist()], dtype=np.int8)
 
 
 def pencil_elements(phi0, phi1, xy):

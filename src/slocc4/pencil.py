@@ -43,8 +43,8 @@ class ProjectivePoint:
             raise ValueError("(0 : 0) is not a projective point")
         x = complex(x) / nrm
         y = complex(y) / nrm
-        anchor = x if abs(x) >= abs(y) else y
-        phase = anchor / abs(anchor)
+        ax, ay = abs(x), abs(y)
+        phase = x / ax if ax >= ay else y / ay
         self.x = x / phase
         self.y = y / phase
         self.multiplicity = int(multiplicity)
@@ -79,7 +79,7 @@ class QuarticForm(NamedTuple):
         return complex(np.dot(self.c, xs))
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
-        return float(np.abs(self.c).max()) <= eps * self.amp_scale**4
+        return max(np.abs(self.c).tolist()) <= eps * self.amp_scale**4
 
 
 class QuadraticForm(NamedTuple):
@@ -96,7 +96,7 @@ class QuadraticForm(NamedTuple):
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
         if self.exact is not None:
             return all(z.is_zero for z in self.exact)
-        return float(np.abs(self.c).max()) <= eps * self.amp_scale**2
+        return max(np.abs(self.c).tolist()) <= eps * self.amp_scale**2
 
 
 class SpanProfile(NamedTuple):
@@ -149,8 +149,8 @@ def _check_inputs(phi0, phi1):
     power of two, which leaves every point of the pencil in place."""
     p0 = _amps_of(phi0)
     p1 = _amps_of(phi1)
-    s0 = float(np.abs(p0).max())
-    s1 = float(np.abs(p1).max())
+    s0 = max(np.abs(p0).tolist())
+    s1 = max(np.abs(p1).tolist())
     if s0 == 0.0:
         raise ZeroState("phi0 is the zero vector")
     if s1 == 0.0:
@@ -159,8 +159,8 @@ def _check_inputs(phi0, phi1):
     if not kernels.SCALE_LO <= top <= kernels.SCALE_HI:
         p0 = kernels.pow2_scaled(p0, top)
         p1 = kernels.pow2_scaled(p1, top)
-        s0 = float(np.abs(p0).max())
-        s1 = float(np.abs(p1).max())
+        s0 = max(np.abs(p0).tolist())
+        s1 = max(np.abs(p1).tolist())
     return p0, p1, s0, s1
 
 
@@ -179,9 +179,8 @@ def quartic(phi0, phi1) -> QuarticForm:
     ``_check_inputs``).
     """
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    c = kernels.quartic_coefficients(
-        *kernels.ghz_invariant_batch(kernels.pencil_elements(p0, p1, _QUARTIC_NODES))
-    )
+    rows = kernels.pencil_elements(p0, p1, _QUARTIC_NODES).tolist()
+    c = kernels.quartic_coefficients(*[kernels.ghz(*row) for row in rows])
     return QuarticForm(c=np.array(c), amp_scale=max(s0, s1))
 
 
@@ -241,7 +240,7 @@ def _companion_roots(p) -> list:
     roots = []
     if len(p) > 1:
         companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
-        companion[0, :] = -p[1:] / p[0]
+        companion[0, :] = p[1:] / -p[0]
         roots = np.linalg.eigvals(companion).tolist()
     return roots + [0j] * trailing
 
@@ -302,6 +301,27 @@ def cluster_points(points, radius: float) -> list:
 # The gradient of D vanishes at the 2+2, 3+1 and 4-fold patterns and that
 # of J at the 4-fold one, so bounds evaluated at c stay consistent near
 # them where constant ones (32 nu for I, 411 nu for J) would not.
+# These tests are first-order necessary conditions: next to a deeper
+# pattern, a quartic whose roots sit 1e-4 apart can pass them for the wrong
+# pattern.  So the placed roots of a multiple pattern must reproduce f: with
+# p the coefficients of their product, the residual r = c - (p^H c / p^H p) p
+# of the best multiple of p must stay within _FIT nu in every coefficient.
+# Were the placed roots those of the exact quartic c* (c = c* + e, |e_i| <=
+# nu), r would be e less its projection on p, so |r_i| <= |e_i| + |p^H e| /
+# |p| <= (1 + sqrt(5)) nu, and the rounding of p and r adds a few u.  The
+# closed forms are exact on each pattern, so placing the roots from c moves
+# them by the noise times their conditioning, to first order; _FIT = 8
+# allows that movement as much as the noise itself, rounded up, and a
+# placement moved further raises.  Measured with an error of nu in every
+# coefficient of random patterns (roots of size 1 to 3), that happens on
+# 78% of 2+1+1 and 62% of 3+1 quartics, with nu/100 on 1.4% and 0.1%, with
+# nu/1000 on none (and on 0.1% of 2+2 and no 4-fold quartics at every
+# level); multiple-root pencils of SLOCC images of the families, whose
+# coefficients are off by about 1e-15, read at most 0.024 nu.  Of the wrong
+# patterns, two double roots each split by 1e-4 read 7 nu or more in 9 of
+# 10 cases (median 33 nu), and a triple split by 1e-4 along a line 25 nu or
+# more.  Four roots within about 1e-3 of each other stay partly out of
+# reach: their quartic can lie within nu of 2+2 and 3+1 quartics.
 # A quantity within its bound is zero, one above _BAND times it is nonzero,
 # and one in between raises AmbiguousClassification.
 # nu: ``analyze_span`` passes the quartic of two vectors with largest
@@ -322,6 +342,7 @@ def cluster_points(points, radius: float) -> list:
 # raises, before the zero side.
 _NOISE = 2.0**-37
 _BAND = 32.0
+_FIT = 8.0
 
 
 def _vanishes(value, bound, what) -> bool:
@@ -330,6 +351,19 @@ def _vanishes(value, bound, what) -> bool:
         return value <= bound
     raise AmbiguousClassification(f"quartic {what} at {value / bound:.3g} times its noise "
                                   f"bound, between the zero (1) and nonzero ({_BAND:g}) thresholds")
+
+
+def _fitted(c, roots, nu) -> list:
+    """The placed roots of a multiple pattern, once they reproduce the quartic
+    (see the comment above ``_NOISE``)."""
+    p = [1.0 + 0j]
+    for pt in roots:
+        for _ in range(pt.multiplicity):  # times (y X - x Y)
+            p = [a * pt.y - b * pt.x for a, b in zip(p + [0j], [0j] + p)]
+    lam = sum(a.conjugate() * b for a, b in zip(p, c)) / sum(abs(a) ** 2 for a in p)
+    if _vanishes(max(abs(b - lam * a) for a, b in zip(p, c)), _FIT * nu, "fit of the placed roots"):
+        return roots
+    raise AmbiguousClassification("the placed multiple roots do not reproduce the quartic")
 
 
 def _fourfold_root(c, multiplicity) -> ProjectivePoint:
@@ -395,7 +429,8 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     form: a 4-fold root at -b/a, a triple root at the 4-fold root of the
     Hessian, the roots of a square f = q^2 at the roots of q, and the double
     root of 2+1+1 at the linear gcd of f and its derivative, and the simple
-    roots beside a multiple one by deflation.  Four simple roots are the
+    roots beside a multiple one by deflation; placed roots whose product is
+    not a multiple of f within noise raise as well.  Four simple roots are the
     companion-matrix eigenvalues of the dehomogenized quartic, with roots
     at infinity (1 : 0) where leading coefficients vanish within ``eps``.
     """
@@ -424,12 +459,12 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     h = kernels.hessian(*c)
     h_max = max(map(abs, h))
     if _vanishes(h_max, 116 * nu, "Hessian"):
-        return [_fourfold_root(c, 4)]
+        return _fitted(c, [_fourfold_root(c, 4)], nu)
     if _vanishes(max(ai / e_i, aj / e_j), 1.0, "invariants I, J"):
         triple = _fourfold_root(h, 3)
-        return [triple, _simple_beside_triple(c, triple)]
+        return _fitted(c, [triple, _simple_beside_triple(c, triple)], nu)
     minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
-    return _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "square test"))
+    return _fitted(c, _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "square test")), nu)
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
@@ -508,7 +543,7 @@ def _classify_points(p0, p1, points, eps):
     if not points:
         return []
     xy = np.array([[pt.x, pt.y] for pt in points], dtype=np.complex128)
-    return classify3_batch(kernels.pencil_elements(p0, p1, xy), eps)
+    return classify3_batch(kernels.pencil_elements(p0, p1, xy).tolist(), eps)
 
 
 def _rescale_point(pt: ProjectivePoint, s0: float, s1: float) -> ProjectivePoint:

@@ -8,6 +8,7 @@ magnitude in the object at hand.
 """
 
 import json
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +56,7 @@ class PureState:
         return state
 
     def max_abs(self) -> float:
-        return float(np.abs(self.amps).max())
+        return max(np.abs(self.amps).tolist())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -320,7 +321,41 @@ def _windowed(state: PureState, what: str):
     return state, float(np.vdot(state.amps, state.amps).real)
 
 
-def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> dict:
+class CutRanks(Mapping):
+    """Read-only mapping from each of the seven ``BIPARTITIONS`` to its rank,
+    as :func:`bipartition_ranks` decides it.
+
+    The pair cuts that the minor tests leave open go to ``np.linalg.svd``
+    together when the first of them is read, so a caller that stops reading
+    early (the rank screen, at a separable qubit) never pays for them.
+    ``state`` is the state that was ranked, rescaled into the window."""
+
+    __slots__ = ("state", "_eps", "_ranks")
+
+    def __init__(self, state: PureState, eps: float, ranks: list):
+        self.state = state
+        self._eps = eps
+        self._ranks = dict(zip(BIPARTITIONS, ranks))  # 0 for an open pair cut
+
+    def __getitem__(self, cut):
+        if not self._ranks[cut]:
+            pairs = [k for k in range(3) if not self._ranks[BIPARTITIONS[4 + k]]]
+            sv = np.linalg.svd(self.state.amps[_PAIR_CUTS[pairs]], compute_uv=False)
+            counts = (sv > self._eps * sv[:, :1]).sum(axis=1).tolist()
+            self._ranks.update((BIPARTITIONS[4 + k], n) for k, n in zip(pairs, counts))
+        return self._ranks[cut]
+
+    def __iter__(self):
+        return iter(BIPARTITIONS)
+
+    def __len__(self):
+        return len(BIPARTITIONS)
+
+    def __repr__(self):
+        return f"CutRanks({dict(self)!r})"
+
+
+def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
     """Numerical rank of the amplitude matrix along each of the 7 cuts.
 
     Single-qubit cuts compare the closed-form sigma_min/sigma_max with
@@ -328,13 +363,13 @@ def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> dict:
     squared 2x2 minors so that exact rank deficiency is resolved to ~1e-16
     rather than sqrt(machine eps), and from sigma_1^2 + sigma_2^2 = t.  Pair
     cuts are decided from the determinant and the squared minors (see the
-    bound above) and fall back to the SVD only when neither is conclusive.
+    bound above) and fall back to the SVD, when read, only where neither is
+    conclusive.
     """
     state, t = _windowed(state, "rank")
     if state.n != 4:
         raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
-    amps = state.amps
-    factors = amps[_MINOR_FACTORS]
+    factors = state.amps[_MINOR_FACTORS]
     products = factors[0] * factors[1]
     minors = products[:_MINOR_COUNT] - products[_MINOR_COUNT:]
     parts = minors.view(np.float64)
@@ -344,26 +379,15 @@ def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> dict:
         lmax = 0.5 * (t + max(t * t - 4.0 * det, 0.0) ** 0.5)
         ranks.append(2 if det**0.5 / lmax > eps else 1)
     pair_minors = minors[_SINGLE_FLOATS // 2 :].reshape(3, 36)
-    dets = np.abs((pair_minors[:, :6] * pair_minors[:, 6:12]).sum(axis=1)).tolist()
+    dets = list(map(abs, (pair_minors[:, :6] * pair_minors[:, 6:12]).sum(axis=1).tolist()))
     tol4 = max(_RANK_K * eps, _RANK_FLOOR) * t * t
     if min(dets) > tol4:
-        return dict(zip(BIPARTITIONS, ranks + [4, 4, 4]))
+        return CutRanks(state, eps, ranks + [4, 4, 4])
     e2s = squares[_SINGLE_FLOATS:].reshape(3, 72).sum(axis=1).tolist()
     tol1 = (eps / _RANK_K) ** 2 * t * t if eps > _RANK_FLOOR else 0.0
-    undecided = []
-    for i, (det, e2) in enumerate(zip(dets, e2s)):
-        if det > tol4:
-            ranks.append(4)
-        elif 16.0 * e2 < tol1:
-            ranks.append(1)
-        else:
-            ranks.append(0)
-            undecided.append(i)
-    if undecided:
-        sv = np.linalg.svd(amps[_PAIR_CUTS[undecided]], compute_uv=False)
-        for i, rank in zip(undecided, (sv > eps * sv[:, :1]).sum(axis=1).tolist()):
-            ranks[4 + i] = rank
-    return dict(zip(BIPARTITIONS, ranks))
+    for det, e2 in zip(dets, e2s):
+        ranks.append(4 if det > tol4 else 1 if 16.0 * e2 < tol1 else 0)
+    return CutRanks(state, eps, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .pencil import SpanProfile, analyze_span
 from .qstate import (
     DEFAULT_EPS,
     PureState,
-    _windowed,
     bipartition_ranks,
     cut_matrix,
     decompose,
@@ -53,20 +52,9 @@ class QuadTag(enum.Enum):
         return self.value
 
 
-#: Documented ordering of tags, used to canonicalize verdict tuples.
-TAG_ORDER = (
-    QuadTag.W000_000,
-    QuadTag.W000_0PSI,
-    QuadTag.W000_GHZ,
-    QuadTag.W000_W,
-    QuadTag.W0KPSI_0KPSI,
-    QuadTag.W0IPSI_0JPSI,
-    QuadTag.W0PSI_GHZ,
-    QuadTag.W0KPSI_W,
-    QuadTag.WGHZ_W,
-    QuadTag.WW_W,
-    QuadTag.DEGENERATE,
-)
+#: Documented ordering of tags, used to canonicalize verdict tuples: the
+#: order in which ``QuadTag`` declares them.
+TAG_ORDER = tuple(QuadTag)
 
 
 class QuadClass(NamedTuple):
@@ -109,33 +97,32 @@ def _exact_cut_rank(state: PureState, cut) -> int:
 def _degenerate_screen(state: PureState, eps: float, exact: bool):
     """Reduced-rank factorization screen.
 
-    Returns a Degenerate detail string when some single qubit or qubit
-    pair factors out, else None.  The numeric screen always runs (a state
-    within float noise of a factorized one must not reach the pencil
-    stage); exact mode additionally certifies exact rank deficiencies.
+    Returns ``(detail, state)``: a Degenerate detail string when some single
+    qubit or qubit pair factors out, else None, and the state rescaled into
+    the window.  The numeric screen always runs (a state within float noise
+    of a factorized one must not reach the pencil stage); exact mode
+    additionally certifies exact rank deficiencies.  Each rank is read only
+    when the screen needs it.
     """
     ranks = bipartition_ranks(state, eps)
-    if exact:
-        for cut in ranks:
-            if ranks[cut] > 1:
-                ranks[cut] = min(ranks[cut], _exact_cut_rank(state, cut))
+    state = ranks.state
     for k in (1, 2, 3, 4):
-        if ranks[(k,)] == 1:
+        if ranks[(k,)] == 1 or exact and _exact_cut_rank(state, (k,)) == 1:
             d = decompose(state, k)
             rest = d.phi0 if d.phi0.max_abs() >= d.phi1.max_abs() else d.phi1
             rest_class = classify3(rest, eps, exact=exact)
-            return f"qubit {k} separable; remainder {rest_class}"
+            return f"qubit {k} separable; remainder {rest_class}", state
     for cut in ((1, 2), (1, 3), (1, 4)):
-        if ranks[cut] == 1:
+        if ranks[cut] == 1 or exact and _exact_cut_rank(state, cut) == 1:
             other = tuple(sorted(set((1, 2, 3, 4)) - set(cut)))
-            return f"pair {cut} separable from {other}"
-    return None
+            return f"pair {cut} separable from {other}", state
+    return None, state
 
 
 def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
     """Decision table on a span profile, in the least-entanglement order."""
-    sep_points = [pt for pt, cls in profile.exceptional if cls == TriClass.SEP000]
-    bisep = [(pt, cls.cut) for pt, cls in profile.exceptional if cls.cut is not None]
+    sep_points = sum(cls == TriClass.SEP000 for _, cls in profile.exceptional)
+    cuts = profile.bisep_cuts
     generic_ghz = not profile.quartic_identically_zero
     generic_w = profile.quartic_identically_zero and profile.generic_type == TriClass.W
 
@@ -150,26 +137,24 @@ def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
             tag=tag, distinguished=distinguished, cuts=tuple(cuts), profile=profile
         )
 
-    if len(sep_points) >= 2:
+    if sep_points >= 2:
         return verdict(QuadTag.W000_000)
-    if len(sep_points) == 1:
-        if bisep:
+    if sep_points == 1:
+        if cuts:
             return verdict(QuadTag.W000_0PSI)
         if generic_ghz:
             return verdict(QuadTag.W000_GHZ)
         return verdict(QuadTag.W000_W)
-    if len(bisep) >= 2:
-        cuts = [c for _, c in bisep]
+    if len(cuts) >= 2:
         shared = sorted({c for c in cuts if cuts.count(c) >= 2})
         if shared:
             return verdict(QuadTag.W0KPSI_0KPSI, (shared[0],))
         distinct = sorted(set(cuts))
         return verdict(QuadTag.W0IPSI_0JPSI, tuple(distinct[:2]))
-    if len(bisep) == 1:
-        cut = bisep[0][1]
+    if len(cuts) == 1:
         if generic_ghz:
-            return verdict(QuadTag.W0PSI_GHZ, (cut,))
-        return verdict(QuadTag.W0KPSI_W, (cut,))
+            return verdict(QuadTag.W0PSI_GHZ, cuts)
+        return verdict(QuadTag.W0KPSI_W, cuts)
     # no separable points of any kind
     if generic_ghz:
         if not profile.w_points:
@@ -194,9 +179,7 @@ def classify4(
         raise DimensionMismatch(f"classify4 needs a 4-qubit state, got n={state.n}")
     if not 1 <= distinguished <= 4:
         raise DimensionMismatch(f"distinguished qubit {distinguished} out of 1..4")
-    state, _ = _windowed(state, "classify")
-
-    detail = _degenerate_screen(state, eps, exact)
+    detail, state = _degenerate_screen(state, eps, exact)
     if detail is not None:
         return QuadClass(
             tag=QuadTag.DEGENERATE, distinguished=distinguished, detail=detail

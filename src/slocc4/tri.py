@@ -51,23 +51,18 @@ class TriClass(enum.Enum):
     @property
     def cut(self):
         """The separated qubit for biseparable classes, else None."""
-        return _BISEP_CUT.get(self)
+        return _BISEP_CUT.get(self._value_)
 
     def __str__(self):
         return self.value
 
 
-_BISEP_CUT = {TriClass.BISEP1: 1, TriClass.BISEP2: 2, TriClass.BISEP3: 3}
+#: Keyed by value: an enum member hashes in Python, its value string in C.
+_BISEP_CUT = {TriClass.BISEP1.value: 1, TriClass.BISEP2.value: 2, TriClass.BISEP3.value: 3}
 
-_CODE_TO_CLASS = {
-    kernels.CODE_ZERO: TriClass.ZERO,
-    kernels.CODE_SEP: TriClass.SEP000,
-    kernels.CODE_B1: TriClass.BISEP1,
-    kernels.CODE_B2: TriClass.BISEP2,
-    kernels.CODE_B3: TriClass.BISEP3,
-    kernels.CODE_W: TriClass.W,
-    kernels.CODE_GHZ: TriClass.GHZ,
-}
+#: Class of each verdict code: ``TriClass`` declares its members in code
+#: order (``kernels.CODE_ZERO`` .. ``kernels.CODE_GHZ``).
+_CODE_TO_CLASS = tuple(TriClass)
 
 
 class ClauseReport(NamedTuple):
@@ -126,10 +121,14 @@ def _class_from_code(code: int, where="state") -> TriClass:
     return _CODE_TO_CLASS[code]
 
 
-def classify3_batch(amps: np.ndarray, eps: float = DEFAULT_EPS) -> list:
-    """Classify a (N, 8) batch of amplitude rows."""
-    codes = kernels.tri_codes_batch(np.ascontiguousarray(amps, dtype=np.complex128), eps)
-    return [_class_from_code(c, f"row {i}") for i, c in enumerate(codes.tolist())]
+def classify3_batch(amps, eps: float = DEFAULT_EPS) -> list:
+    """Classify each amplitude row of a (N, 8) array or a list of N rows of
+    8 numbers."""
+    rows = amps.tolist() if isinstance(amps, np.ndarray) else amps
+    codes = [kernels.tri_code(row, eps) for row in rows]
+    if kernels.CODE_AMBIGUOUS in codes:  # raises, naming the first such row
+        _class_from_code(kernels.CODE_AMBIGUOUS, f"row {codes.index(kernels.CODE_AMBIGUOUS)}")
+    return [_CODE_TO_CLASS[code] for code in codes]
 
 
 def _exact_code(lifted) -> int:

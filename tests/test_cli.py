@@ -159,9 +159,11 @@ def test_classify_huge_json_integer(tmp_path, capsys):
 
 def test_runtime_does_not_import_scipy(tmp_path):
     # scipy serves only the test-only oracle; a float classify call also
-    # leaves out numpy.random, dataclasses and the exact-mode modules
+    # leaves out numpy.random, dataclasses, the exact-mode modules and the
+    # canonical families
     path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
-    unused = ["scipy", "numpy.random", "dataclasses", "fractions", "slocc4.exact"]
+    unused = ["scipy", "numpy.random", "dataclasses", "fractions", "slocc4.exact",
+              "slocc4.canonical"]
     code = (
         "import sys, slocc4\n"
         "from slocc4 import cli\n"
@@ -172,6 +174,41 @@ def test_runtime_does_not_import_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_the_canonical_names_on_first_use():
+    import slocc4
+    from slocc4 import canonical
+
+    assert slocc4.FamilySpec is canonical.FamilySpec
+    assert slocc4.make_canonical is canonical.make_canonical
+    assert slocc4.random_slocc is canonical.random_slocc
+    with pytest.raises(AttributeError):
+        slocc4.no_such_name
+
+
+def test_family_choices_are_the_canonical_names():
+    from slocc4 import cli
+    from slocc4.canonical import FAMILY_PENCILS, TRI_STATES
+
+    assert cli._FAMILIES == sorted(FAMILY_PENCILS) + sorted(TRI_STATES)
+
+
+@pytest.mark.parametrize("amps, expected", [
+    (make_canonical(FamilySpec("WGHZ_W")).amps, 0),
+    (np.zeros(16), 1),
+    (np.eye(16)[0], 2),
+])
+def test_module_run_matches_in_process_main(tmp_path, capsys, amps, expected):
+    # python -m slocc4.cli exits through cli.run, which freezes the
+    # collector before exiting with main's status
+    path = write_state(tmp_path, amps)
+    code, out, err = run_cli(capsys, "classify", path, "--distinguished", "all")
+    proc = subprocess.run([sys.executable, "-m", "slocc4.cli", "classify", path, "--distinguished", "all"],
+                          capture_output=True, text=True, env=child_env())
+    assert code == proc.returncode == expected
+    assert proc.stdout == out
+    assert proc.stderr == err
 
 
 @pytest.mark.parametrize("argv", [

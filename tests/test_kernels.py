@@ -4,8 +4,9 @@ every verdict code."""
 
 import numpy as np
 
-from slocc4 import kernels
+from slocc4 import TriClass, kernels
 from slocc4.oracle import _hyperdet_batch, rank_codes_batch
+from slocc4.tri import classify3_batch
 
 EPS = 1e-9
 
@@ -82,6 +83,22 @@ def batch(n, seed):
 
 #: Batch sizes: a single row, a pencil-sized batch and a large one.
 SIZES = (1, 4, 500)
+
+
+def test_each_code_names_its_class():
+    # tri maps codes to classes by the declaration order of TriClass
+    want = {
+        kernels.CODE_ZERO: TriClass.ZERO,
+        kernels.CODE_SEP: TriClass.SEP000,
+        kernels.CODE_B1: TriClass.BISEP1,
+        kernels.CODE_B2: TriClass.BISEP2,
+        kernels.CODE_B3: TriClass.BISEP3,
+        kernels.CODE_W: TriClass.W,
+        kernels.CODE_GHZ: TriClass.GHZ,
+    }
+    rows = np.array([SPECIAL_ROWS[code] for code in want], dtype=np.complex128)
+    assert classify3_batch(rows, EPS) == list(want.values())
+    assert classify3_batch(rows.tolist(), EPS) == list(want.values())
 
 
 def test_special_rows_have_their_codes():

@@ -217,6 +217,24 @@ class TestQuarticRootsReference:
             assert nearest.chordal(target) <= tol
             assert nearest.multiplicity == roots.count((a, b))
 
+    #: Roots near a deeper pattern whose covariant tests can pass for a wrong
+    #: pattern; the placed roots then fail to reproduce f.
+    NEAR_DEGENERATE = {
+        "two pairs split by 1e-4": spread(0.4 + 0.1j, 1e-4, 2) + spread(-1.5 + 0.7j, 1e-4, 2),
+        "triple split by 1e-4 along a line": [(0.2 - 0.6j + k * 1e-4, 1) for k in range(3)] + [(1.7, 1)],
+        "four about 1e-3 apart": [(-0.3 + 0.2j + 1e-3 * z, 1) for z in (0, 1, 0.7j, -0.4 + 0.3j)],
+    }
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("name", sorted(NEAR_DEGENERATE))
+    def test_near_degenerate_is_simple_or_raises(self, name, seed):
+        c = relative_noise(form_with_roots(self.NEAR_DEGENERATE[name]), seed)
+        try:
+            got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
+        except AmbiguousClassification:
+            return
+        assert [p.multiplicity for p in got] == [1, 1, 1, 1]
+
     def test_between_thresholds_raises(self):
         # a double root split by 1.3e-5: its discriminant is about 6 times
         # its noise bound, between the zero threshold (1) and the nonzero

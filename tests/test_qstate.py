@@ -14,6 +14,7 @@ from slocc4 import (
     ZeroState,
     apply_slocc,
     bipartition_ranks,
+    classify4,
     decompose,
     load_state,
     permute_qubits,
@@ -353,7 +354,24 @@ def test_gaussian_states_never_reach_the_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert [bipartition_ranks(s) for s in states] == want
-    # a separable qubit leaves the pair cuts at rank 2, which only the SVD decides
+    # a separable qubit leaves the pair cuts at rank 2, which only the SVD
+    # decides, when they are read
     product = PureState(np.kron(_gaussian(rng, 2), _gaussian(rng, 8)))
     with pytest.raises(AssertionError, match="svd called"):
-        bipartition_ranks(product)
+        bipartition_ranks(product)[(1, 2)]
+
+
+def test_rank_screen_reads_no_pair_cut_at_a_separable_qubit(monkeypatch):
+    rng = np.random.default_rng(4401)
+    product = PureState(np.kron(_gaussian(rng, 2), _gaussian(rng, 8)))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    verdict = classify4(product)
+    assert verdict.is_degenerate and verdict.detail.startswith("qubit 1 separable")
+    monkeypatch.undo()
+    ranks = bipartition_ranks(product)
+    assert [ranks[cut] for cut in ALL_CUTS] == [1, 2, 2, 2, 2, 2, 2]
+    assert dict(ranks) == dict(zip(ALL_CUTS, [1, 2, 2, 2, 2, 2, 2]))
