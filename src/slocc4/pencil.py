@@ -9,6 +9,7 @@ fixed integer nodes so a single code path reuses the classifier's
 polynomial kernels and is self-validated by an evaluation identity.
 """
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -68,10 +69,16 @@ class ProjectivePoint:
 
 
 class QuarticForm(NamedTuple):
-    """Homogeneous quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4."""
+    """Homogeneous quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4.
+
+    ``scales`` = (s0, s1) marks the quartic of the pencil of phi0 / s0 and
+    phi1 / s1: its root (x : y) is the point (x / s0 : y / s1) of the pencil
+    of phi0 and phi1, where ``quartic_roots`` reports it.
+    """
 
     c: np.ndarray
     amp_scale: float
+    scales: tuple = (1.0, 1.0)
 
     def evaluate(self, x, y) -> complex:
         x, y = complex(x), complex(y)
@@ -199,50 +206,116 @@ def _quadratic_formula(a, b, c) -> tuple:
     """Both roots of a x^2 + b x + c (a != 0), cancellation-safe."""
     if c == 0:
         return (0.0 + 0.0j, -b / a)
-    s = np.sqrt(complex(b * b - 4.0 * a * c))
+    s = cmath.sqrt(b * b - 4.0 * a * c)
     if abs(b - s) > abs(b + s):
         s = -s
     q = -0.5 * (b + s)
     return (q / a, c / q)
 
 
-def _raw_projective_roots(coeffs, eps: float) -> list:
-    """Unclustered projective roots of a homogeneous binary form
-    (coefficients with the highest power of x first); roots at infinity
-    arise from vanishing leading coefficients."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    mags = np.abs(c).tolist()
+def _raw_projective_roots(coeffs: list, eps: float) -> list:
+    """Unclustered projective roots (x, y) of a homogeneous binary form of
+    degree at most four (a list of coefficients, highest power of x first).
+    Leading coefficients within ``eps`` of the largest give roots at
+    infinity (1, 0); in a cubic or quartic rest, each exact trailing zero
+    gives the root (0, 1), and ``_polynomial_roots`` gives the others."""
+    mags = list(map(abs, coeffs))
     cmax = max(mags)
     if cmax == 0.0:
         raise IdenticallyZero("form has no roots: all coefficients vanish")
     k = 0
     while k < len(mags) - 1 and mags[k] <= eps * cmax:
         k += 1
-    points = [ProjectivePoint(1, 0, 1) for _ in range(k)]
-    tail = c[k:]
-    if len(tail) == 2:
-        points.append(ProjectivePoint(-tail[1] / tail[0], 1, 1))
-    elif len(tail) == 3:
-        points.extend(ProjectivePoint(r, 1, 1) for r in _quadratic_formula(*tail))
-    elif len(tail) > 3:
-        points.extend(ProjectivePoint(r, 1, 1) for r in _companion_roots(tail))
-    return points
+    tail = coeffs[k:]
+    zeros = 0
+    while len(tail) > 3 and tail[-1] == 0:
+        tail.pop()
+        zeros += 1
+    return [(1.0, 0.0)] * k + [(r, 1.0) for r in _polynomial_roots(tail)] + [(0j, 1.0)] * zeros
 
 
-def _companion_roots(p) -> list:
-    """Roots of a polynomial (highest power first) exactly as ``np.roots``
-    finds them: eigenvalues of the companion matrix of the coefficients
-    stripped of leading and trailing zeros, then one zero per trailing
-    zero."""
-    nonzero = [i for i, z in enumerate(p.tolist()) if z]
-    trailing = len(p) - 1 - nonzero[-1]
-    p = p[nonzero[0] : nonzero[-1] + 1]
-    roots = []
-    if len(p) > 1:
-        companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
-        companion[0, :] = p[1:] / -p[0]
-        roots = np.linalg.eigvals(companion).tolist()
-    return roots + [0j] * trailing
+#: Cube roots of unity other than 1.
+_OMEGA = complex(-0.5, 0.75**0.5)
+_OMEGA2 = _OMEGA.conjugate()
+
+
+def _cubic_roots(p, q) -> list:
+    """The three roots of t^3 + p t + q (Cardano, with the cube root taken
+    of the larger of -q/2 +- sqrt(q^2/4 + p^3/27))."""
+    h = cmath.sqrt(0.25 * q * q + p * p * p / 27)
+    u3 = -0.5 * q
+    u3 = u3 - h if abs(u3 - h) >= abs(u3 + h) else u3 + h
+    if u3 == 0:
+        return [0j, 0j, 0j]
+    u = u3 ** (1 / 3)
+    v = -p / (3 * u)
+    return [u + v, u * _OMEGA + v * _OMEGA2, u * _OMEGA2 + v * _OMEGA]
+
+
+def _polynomial_roots(p) -> list:
+    """Roots of p[0] x^n + .. + p[n] (n <= 4, p[0] != 0) in closed form.
+
+    A cubic is depressed and solved by Cardano; a quartic is depressed to
+    y^4 + P y^2 + Q y + R and split by Ferrari into the two quadratics
+    y^2 -+ s y + P/2 + m +- Q/(2 s), s^2 = 2 m, with m the root of largest
+    magnitude of the resolvent cubic m^3 + P m^2 + (P^2/4 - R) m - Q^2/8
+    (2 m is the square of a sum of two roots y, so m = 0 only when all four
+    roots coincide, and then Q = 0).  Depressing loses the small roots of a
+    polynomial whose roots span many decades, so the estimates are then
+    refined on p itself by ``_polished``."""
+    n = len(p) - 1
+    if n == 0:
+        return []
+    if n == 1:
+        return [-p[1] / p[0]]
+    if n == 2:
+        return list(_quadratic_formula(*p))
+    lead = p[0]
+    if n == 3:
+        a, b, c = p[1] / lead, p[2] / lead, p[3] / lead
+        shift = a / 3
+        xs = [t - shift for t in _cubic_roots(b - a * shift, (2 * shift * shift - b) * a / 3 + c)]
+    else:
+        a, b, c, d = p[1] / lead, p[2] / lead, p[3] / lead, p[4] / lead
+        shift = 0.25 * a
+        aa = a * a
+        pp = b - 0.375 * aa
+        qq = c - 0.5 * a * b + 0.125 * aa * a
+        rr = d - 0.25 * a * c + aa * b / 16 - 3 * aa * aa / 256
+        third = pp / 3
+        zs = _cubic_roots(-(pp * pp / 12 + rr), pp * rr / 3 - pp * pp * pp / 108 - qq * qq / 8)
+        m = max((z - third for z in zs), key=abs)
+        s = cmath.sqrt(2 * m)
+        half, t = 0.5 * pp + m, qq / (2 * s) if s else 0j
+        xs = [y - shift for y in _quadratic_formula(1, -s, half + t) + _quadratic_formula(1, s, half - t)]
+    return _polished(p, xs)
+
+
+def _polished(p, xs) -> list:
+    """The estimates ``xs`` of all roots of p after Aberth-Ehrlich steps on
+    p, until every step moves its root by at most 2^-40 of its magnitude
+    (or for 32 rounds).
+
+    A step is Newton's, f / f', divided by 1 - (f / f') sum_j 1 / (x - x_j)
+    unless it is already that small; the sum keeps two estimates from
+    converging to the same root.  On estimates within a few units in the
+    last place, one Newton step each ends it."""
+    lead, rest = p[0], p[1:]
+    for _ in range(32):
+        done = True
+        for i, x in enumerate(xs):
+            f, df = lead, 0j
+            for a in rest:
+                df = df * x + f
+                f = f * x + a
+            w = f / df if df else f
+            if abs(w) > 2.0**-40 * abs(x):
+                w /= 1 - w * sum(1 / (x - y) for y in xs if y != x)
+                done = False
+            xs[i] = x - w
+        if done:
+            break
+    return xs
 
 
 def cluster_points(points, radius: float) -> list:
@@ -354,35 +427,35 @@ def _vanishes(value, bound, what) -> bool:
 
 
 def _fitted(c, roots, nu) -> list:
-    """The placed roots of a multiple pattern, once they reproduce the quartic
-    (see the comment above ``_NOISE``)."""
+    """The placed roots (x, y, multiplicity) of a multiple pattern, once they
+    reproduce the quartic (see the comment above ``_NOISE``)."""
     p = [1.0 + 0j]
-    for pt in roots:
-        for _ in range(pt.multiplicity):  # times (y X - x Y)
-            p = [a * pt.y - b * pt.x for a, b in zip(p + [0j], [0j] + p)]
+    for x, y, m in roots:
+        for _ in range(m):  # times (y X - x Y)
+            p = [a * y - b * x for a, b in zip(p + [0j], [0j] + p)]
     lam = sum(a.conjugate() * b for a, b in zip(p, c)) / sum(abs(a) ** 2 for a in p)
     if _vanishes(max(abs(b - lam * a) for a, b in zip(p, c)), _FIT * nu, "fit of the placed roots"):
         return roots
     raise AmbiguousClassification("the placed multiple roots do not reproduce the quartic")
 
 
-def _fourfold_root(c, multiplicity) -> ProjectivePoint:
+def _fourfold_root(c, multiplicity) -> tuple:
     """The root of a quartic (a x + b y)^4: -b/a, in the chart with the larger
     leading coefficient."""
     if abs(c[0]) >= abs(c[4]):
-        return ProjectivePoint(-c[1], 4 * c[0], multiplicity)
-    return ProjectivePoint(4 * c[4], -c[3], multiplicity)
+        return (-c[1], 4 * c[0], multiplicity)
+    return (4 * c[4], -c[3], multiplicity)
 
 
-def _simple_beside_triple(c, triple) -> ProjectivePoint:
+def _simple_beside_triple(c, triple) -> tuple:
     """The simple root of f = (a x + b y)^3 (g x + d y), given the triple root,
     divided out at the larger of a and b."""
-    a, b = triple.y, -triple.x
+    a, b = triple[1], -triple[0]
     if abs(a) >= abs(b):
         g = c[0] / a**3
-        return ProjectivePoint((3 * a * a * b * g - c[1]) / a**3, g, 1)
+        return ((3 * a * a * b * g - c[1]) / a**3, g, 1)
     d = c[4] / b**3
-    return ProjectivePoint(-d, (c[3] - 3 * a * b * b * d) / b**3, 1)
+    return (-d, (c[3] - 3 * a * b * b * d) / b**3, 1)
 
 
 #: Real unit anchors of the charts of ``_double_roots``.  Any three points
@@ -416,7 +489,7 @@ def _double_roots(c, square: bool) -> list:
         p = g1 / g0 + 2 * d
         simple = _quadratic_formula(1, p, g2 / g0 + 2 * d * p - d * d)
         roots = [(d, 2)] + [(t, 1) for t in simple]
-    return [ProjectivePoint(a * t - b, b * t + a, m) for t, m in roots]
+    return [(a * t - b, b * t + a, m) for t, m in roots]
 
 
 def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
@@ -430,9 +503,11 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     Hessian, the roots of a square f = q^2 at the roots of q, and the double
     root of 2+1+1 at the linear gcd of f and its derivative, and the simple
     roots beside a multiple one by deflation; placed roots whose product is
-    not a multiple of f within noise raise as well.  Four simple roots are the
-    companion-matrix eigenvalues of the dehomogenized quartic, with roots
-    at infinity (1 : 0) where leading coefficients vanish within ``eps``.
+    not a multiple of f within noise raise as well.  Four simple roots come
+    from ``_raw_projective_roots`` in closed form, with roots at infinity
+    (1 : 0) where leading coefficients vanish within ``eps``.  Each root is
+    reported in the coordinates of the undivided pencil (see
+    :class:`QuarticForm`).
     """
     if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
@@ -451,27 +526,31 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     disc_bound = (nu * sum([abs(wi * di - wj * dj) for di, dj in zip(grad_i, grad_j)])
                   + nu * nu * (192 * ai * ai + 822 * aj) + 12 * ai * e_i * e_i + 4 * e_i**3
                   + e_j * e_j + 2.0**-40 * (ai * ai + aj))
+    s0, s1 = q.scales
     if not _vanishes(abs(4 * i**3 - j * j), disc_bound, "discriminant"):
-        roots = _raw_projective_roots(q.c, eps)
-        if roots[1].at_infinity:
+        roots = _raw_projective_roots(c, eps)
+        if roots[1][1] == 0:
             raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
-        return roots
+        return [ProjectivePoint(x / s0, y / s1) for x, y in roots]
     h = kernels.hessian(*c)
     h_max = max(map(abs, h))
     if _vanishes(h_max, 116 * nu, "Hessian"):
-        return _fitted(c, [_fourfold_root(c, 4)], nu)
-    if _vanishes(max(ai / e_i, aj / e_j), 1.0, "invariants I, J"):
+        roots = [_fourfold_root(c, 4)]
+    elif _vanishes(max(ai / e_i, aj / e_j), 1.0, "invariants I, J"):
         triple = _fourfold_root(h, 3)
-        return _fitted(c, [triple, _simple_beside_triple(c, triple)], nu)
-    minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
-    return _fitted(c, _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "square test")), nu)
+        roots = [triple, _simple_beside_triple(c, triple)]
+    else:
+        minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
+        roots = _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "square test"))
+    return [ProjectivePoint(x / s0, y / s1, m) for x, y, m in _fitted(c, roots, nu)]
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
     """Roots of a quadratic form, clustered with radius ``sqrt(eps)``."""
     if f.identically_zero(eps):
         return []
-    return cluster_points(_raw_projective_roots(f.c, eps), math.sqrt(eps))
+    roots = _raw_projective_roots(f.c.tolist(), eps)
+    return cluster_points([ProjectivePoint(x, y) for x, y in roots], math.sqrt(eps))
 
 
 def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -> list:
@@ -539,11 +618,12 @@ class _ExactContext:
 
 
 def _classify_points(p0, p1, points, eps):
-    """classify3 for a list of projective points on the (float) pencil."""
+    """classify3 for a list of projective points on the (float) pencil, each
+    row x p0 + y p1 formed in Python."""
     if not points:
         return []
-    xy = np.array([[pt.x, pt.y] for pt in points], dtype=np.complex128)
-    return classify3_batch(kernels.pencil_elements(p0, p1, xy).tolist(), eps)
+    pairs = list(zip(p0.tolist(), p1.tolist()))
+    return classify3_batch([[pt.x * a + pt.y * b for a, b in pairs] for pt in points], eps)
 
 
 def _rescale_point(pt: ProjectivePoint, s0: float, s1: float) -> ProjectivePoint:
@@ -578,23 +658,22 @@ def analyze_span(
     with irrational parameters rounded to floats), the profile falls back
     to numeric semantics instead of classifying the noise.
     """
-    p0_raw, p1_raw, s0, s1 = _check_inputs(phi0, phi1)
-    lo, hi = _herm2_eigs(p0_raw, p1_raw)
+    p0, p1, s0, s1 = _check_inputs(phi0, phi1)
+    lo, hi = _herm2_eigs(p0, p1)
     if lo <= eps * hi:
         raise DegeneratePencil("spanning vectors are linearly dependent")
 
-    p0 = p0_raw / s0
-    p1 = p1_raw / s1
-
-    ctx = _ExactContext(p0_raw, p1_raw) if exact else None
-    qform = quartic(p0, p1)
+    ctx = _ExactContext(p0, p1) if exact else None
+    n0 = p0 / s0
+    n1 = p1 / s1
+    qform = quartic(n0, n1)
     if ctx is not None and not any(ctx.exact.quartic_exact(ctx.p0, ctx.p1)):
-        return _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx)
+        return _profile_degenerate_quartic(n0, n1, s0, s1, eps, ctx)
     if qform.identically_zero(eps):
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
-        return _profile_degenerate_quartic(p0, p1, s0, s1, eps, None)
-    return _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx)
+        return _profile_degenerate_quartic(n0, n1, s0, s1, eps, None)
+    return _profile_ghz_generic(p0, p1, QuarticForm(qform.c, qform.amp_scale, (s0, s1)), eps, ctx)
 
 
 def _classify_candidate(pt, cls_float, generic, ctx):
@@ -616,19 +695,18 @@ def _classify_candidate(pt, cls_float, generic, ctx):
     return None
 
 
-def _profile_ghz_generic(p0, p1, s0, s1, qform, eps, ctx):
+def _profile_ghz_generic(p0, p1, qform, eps, ctx):
+    """Profile of a pencil with a nonzero quartic; the roots of ``qform``
+    come back in the coordinates of the pencil of p0 and p1."""
     roots = quartic_roots(qform, eps)
-    classes = _classify_points(p0, p1, roots, eps)
-    exceptional = []
-    for pt, cls in zip(roots, classes):
-        mapped = _rescale_point(pt, s0, s1)
-        if ctx is not None:
-            # trust the snapped exact class only when the snap landed on the
-            # non-GHZ set; irrational roots keep their float classification
-            cls_exact = ctx.classify_point(mapped)
+    exceptional = list(zip(roots, _classify_points(p0, p1, roots, eps)))
+    if ctx is not None:
+        # trust the snapped exact class only when the snap landed on the
+        # non-GHZ set; irrational roots keep their float classification
+        for k, (pt, cls) in enumerate(exceptional):
+            cls_exact = ctx.classify_point(pt)
             if cls_exact != TriClass.GHZ:
-                cls = cls_exact
-        exceptional.append((mapped, cls))
+                exceptional[k] = (pt, cls_exact)
     return _build_profile(False, TriClass.GHZ, exceptional)
 
 
@@ -700,15 +778,13 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
 
 
 def _build_profile(identically_zero, generic, exceptional) -> SpanProfile:
-    contains_000 = any(cls == TriClass.SEP000 for _, cls in exceptional)
-    cuts = sorted(cls.cut for _, cls in exceptional if cls.cut is not None)
-    w_points = any(cls == TriClass.W for _, cls in exceptional)
+    classes = [cls for _, cls in exceptional]
     return SpanProfile(
         quartic_identically_zero=identically_zero,
         generic_type=generic,
         exceptional=tuple(exceptional),
-        contains_000=contains_000,
-        bisep_cuts=tuple(cuts),
-        w_points=w_points,
+        contains_000=TriClass.SEP000 in classes,
+        bisep_cuts=tuple(sorted(cls.cut for cls in classes if cls.cut is not None)),
+        w_points=TriClass.W in classes,
         ghz_generic=generic == TriClass.GHZ,
     )

@@ -20,9 +20,11 @@ stage and reported as Degenerate.
 import enum
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, InternalContradiction
+from .errors import AmbiguousClassification, DegeneratePencil, DimensionMismatch, InternalContradiction
 from .pencil import SpanProfile, analyze_span
-from .qstate import (
+# span_dimension is not called here (analyze_span makes the same test), but
+# perfbench/spans.py wraps it under this module's name
+from .qstate import (  # noqa: F401
     DEFAULT_EPS,
     PureState,
     bipartition_ranks,
@@ -186,11 +188,17 @@ def classify4(
         )
 
     d = decompose(state, distinguished)
-    if span_dimension(d, eps) != 2:
-        raise InternalContradiction(
-            "rank screen passed but the residual pencil is 1-dimensional"
-        )
-    profile = analyze_span(d.phi0, d.phi1, eps, exact=exact)
+    try:
+        profile = analyze_span(d.phi0, d.phi1, eps, exact=exact)
+    except DegeneratePencil as exc:
+        # the rank screen passed this qubit's cut at sigma2/sigma1 > eps, the
+        # pencil test needs its square above eps: a ratio in between is a
+        # state within sqrt(eps) of one with a separable qubit
+        raise AmbiguousClassification(f"qubit {distinguished} has rank 2 but a 1-dimensional "
+                                      "residual pencil within eps (near-separable)") from exc
+    if profile.ghz_generic and TriClass.GHZ in [cls for _, cls in profile.exceptional]:
+        raise AmbiguousClassification("a root of the pencil quartic classifies as GHZ: the "
+                                      "pencil is too badly conditioned to place it")
     return _decide(profile, distinguished)
 
 

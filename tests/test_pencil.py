@@ -13,6 +13,8 @@ from slocc4 import (
     ZeroState,
     analyze_span,
     classify3,
+    classify4,
+    classify4_all,
     clause_quadratics,
     quartic,
     quartic_roots,
@@ -253,6 +255,122 @@ class TestQuarticRootsReference:
         assert [(p.x, p.y, p.multiplicity) for p in small] == [
             (p.x, p.y, p.multiplicity) for p in large
         ]
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def root_condition(c, x):
+    """Relative condition number of the simple root x of the polynomial c
+    (highest power first): a relative error u in every coefficient moves x
+    by at most u times this, relative to |x|, to first order."""
+    n = len(c) - 1
+    df = sum((n - k) * ck * x ** (n - k - 1) for k, ck in enumerate(c[:-1]))
+    return sum(abs(ck) * abs(x) ** (n - k) for k, ck in enumerate(c)) / (abs(x) * abs(df))
+
+
+def matched_errors(got, want):
+    """(relative error, root) for each root in ``want``, each matched to its
+    nearest root in ``got`` that no earlier one took."""
+    got = list(got)
+    assert len(got) == len(want)
+    out = []
+    for w in want:
+        k = min(range(len(got)), key=lambda k: abs(got[k] - w))
+        out.append((abs(got.pop(k) - w) / abs(w), w))
+    return out
+
+
+#: A backward-stable solver moves each root by a small multiple of u times
+#: its condition number; np.roots and the closed form both do (measured up
+#: to 41 u on the cases below).
+U = 2.0**-53
+
+
+def assert_within_condition(got, want, c, factor=128):
+    for err, w in matched_errors(got, want):
+        assert err <= factor * U * root_condition(c, w)
+
+
+class TestClosedFormRoots:
+    """The closed-form solver behind the simple quartic roots, against
+    np.roots and against the roots a polynomial was built from."""
+
+    def test_gaussian_quartics_match_np_roots(self):
+        rng = np.random.default_rng(11)
+        for c in gaussian(rng, 10_000, 5):
+            got = pencil._polynomial_roots(c.tolist())
+            assert max(err for err, _ in matched_errors(got, np.roots(c))) <= 1e-12
+
+    def test_gaussian_cubics_match_np_roots(self):
+        rng = np.random.default_rng(12)
+        for c in gaussian(rng, 2000, 4):
+            got = pencil._polynomial_roots(c.tolist())
+            assert max(err for err, _ in matched_errors(got, np.roots(c))) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_leading_coefficients_within_eps_are_roots_at_infinity(self, k):
+        rng = np.random.default_rng(13 + k)
+        for c in gaussian(rng, 200, 5):
+            c[:k] *= 1e-12
+            pts = pencil._raw_projective_roots(c.tolist(), EPS)
+            assert pts[:k] == [(1.0, 0.0)] * k
+            assert [y for _, y in pts[k:]] == [1.0] * (4 - k)
+            assert_within_condition([x for x, _ in pts[k:]], np.roots(c[k:]), c[k:])
+        # just above eps times the largest coefficient, it is kept
+        c = np.array([3 * EPS, 1, 0.5j, -1, 2])
+        assert all(y == 1.0 for _, y in pencil._raw_projective_roots(c.tolist(), EPS))
+
+    @pytest.mark.parametrize("zeros", [1, 2])
+    def test_exact_trailing_zeros_are_roots_at_zero(self, zeros):
+        rng = np.random.default_rng(15 + zeros)
+        for c in gaussian(rng, 200, 5):
+            c[5 - zeros:] = 0
+            pts = pencil._raw_projective_roots(c.tolist(), EPS)
+            assert pts[4 - zeros:] == [(0j, 1.0)] * zeros
+            rest = c[: 5 - zeros]
+            assert_within_condition([x for x, _ in pts[: 4 - zeros]], np.roots(rest), rest)
+
+    def test_roots_spanning_eight_decades(self):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            roots = 10 ** rng.uniform(-4, 4, 4) * np.exp(2j * np.pi * rng.random(4))
+            c = np.poly(roots)
+            assert_within_condition(pencil._polynomial_roots(c.tolist()), roots, c)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-2])
+    def test_close_simple_roots(self, gap):
+        rng = np.random.default_rng(18)
+        for z, w, v in gaussian(rng, 1000, 3):
+            c = np.poly([z, z + gap * np.exp(2j * np.pi * rng.random()), w, v])
+            assert_within_condition(pencil._polynomial_roots(c.tolist()), np.roots(c), c)
+
+    def test_biquadratics(self):
+        # Q = 0 after depressing: the resolvent has the root 0, never the
+        # largest one
+        rng = np.random.default_rng(19)
+        for r, t in gaussian(rng, 1000, 2):
+            c = np.poly([r, -r, t, -t])
+            assert_within_condition(pencil._polynomial_roots(c.tolist()), np.roots(c), c)
+
+    def test_real_coefficients(self):
+        rng = np.random.default_rng(20)
+        for c in rng.standard_normal((2000, 5)):
+            got = pencil._polynomial_roots([complex(z) for z in c])
+            assert_within_condition(got, np.roots(c), c)
+
+
+def test_float_path_needs_no_eigenvalue_solver(monkeypatch, canonical_states):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    rng = np.random.default_rng(21)
+    for amps in gaussian(rng, 200, 16):
+        assert classify4(PureState(amps)).tag.value == "WGHZ_W"
+    for tag, state in canonical_states.items():
+        assert classify4_all(state)[0][0].tag.value == tag
 
 
 class TestClauseQuadratics:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from slocc4 import (
+    AmbiguousClassification,
     DimensionMismatch,
+    GenericTypeUnstable,
     InternalContradiction,
     PureState,
     QuadTag,
@@ -274,3 +276,23 @@ REGRESSIONS = {
 def test_families_all_regressions(case):
     qubit, label, amps = REGRESSIONS[case]
     assert classify4(PureState(amps), qubit).label() == label
+
+
+@pytest.mark.parametrize("distinguished", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_near_separable_states_fail_as_borderline(d, distinguished):
+    # the distinguished qubit in a product up to d: between about 1e-4 and
+    # 1e-8 the rank screen keeps the state (sigma2/sigma1 > eps) while its
+    # pencil is 1-dimensional within eps ((sigma2/sigma1)^2 <= eps), and near
+    # 1e-4 the pencil is too badly conditioned to place every quartic root
+    # off the GHZ set; both are borderline inputs, never internal
+    # contradictions
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        a, psi, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 8, 16))
+        product = np.moveaxis(np.multiply.outer(a, psi.reshape(2, 2, 2)), 0, distinguished - 1)
+        state = PureState(product.reshape(16) + d * b)
+        try:
+            classify4(state, distinguished)
+        except (AmbiguousClassification, GenericTypeUnstable):
+            pass
