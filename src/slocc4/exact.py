@@ -38,39 +38,21 @@ class GaussianRational:
         """|z|^2 as an exact Fraction."""
         return self.re * self.re + self.im * self.im
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(Fraction(other), _ZERO)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # real scalars, such as the integer constants of the formulas
             return GaussianRational(self.re * other, self.im * other)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -80,10 +62,9 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
+        if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re / other, self.im / other)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         d = other.abs2()
         if not d:

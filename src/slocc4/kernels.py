@@ -1,14 +1,10 @@
 """Hot numeric kernels for batched 3-qubit classification.
 
 The classifier works on one to five rows at a time, where numpy's
-per-call dispatch costs more than the arithmetic, so it evaluates the
-quartic's node rows with ``ghz`` and classifies rows with ``tri_code`` one
-row at a time in Python complex arithmetic (``tri_codes_batch`` is the
-same loop over an array).  The clause quadratics come from
-``clause_quantities_batch``, which evaluates the same formulas
-column-wise in numpy, as ``ghz_invariant_batch`` does for the GHZ
-criterion.  The ``*_batch`` kernels and ``pencil_elements`` take and
-return numpy arrays.
+per-call dispatch (and its import) would cost more than the arithmetic, so
+every kernel runs one row at a time in Python complex arithmetic.  The
+``*_batch`` kernels and ``pencil_elements`` loop over the rows of any
+sequence of rows (lists, tuples or a 2-D array) and return lists.
 
 The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
 ``quadratic_coefficients``, ``resultant``, ``clause_code``, ``hessian``,
@@ -30,7 +26,7 @@ code  meaning
 ====  ==========
 """
 
-import numpy as np
+import math
 
 CODE_ZERO = 0
 CODE_SEP = 1
@@ -50,12 +46,12 @@ SCALE_LO = 2.0**-200
 SCALE_HI = 2.0**200
 
 
-def pow2_scaled(a, scale):
-    """The complex array ``a`` times the power of two that brings ``scale``
-    (its largest magnitude, nonzero) into [0.5, 1).  Exact, except for
-    entries pushed below the normal float range."""
-    floats = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    return np.ldexp(floats, -np.frexp(scale)[1]).view(np.complex128)
+def pow2_scaled(a, scale) -> tuple:
+    """The complex numbers ``a`` times the power of two that brings
+    ``scale`` (their largest magnitude, nonzero) into [0.5, 1).  Exact,
+    except for entries pushed below the normal float range."""
+    e = -math.frexp(scale)[1]
+    return tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in a)
 
 
 def ghz(a0, a1, a2, a3, a4, a5, a6, a7):
@@ -139,14 +135,19 @@ def clause_code(c1, c2, c3):
     return CODE_B1 if c1 else (CODE_B2 if c2 else CODE_B3)
 
 
-def ghz_invariant_batch(a):
-    """GHZ criterion polynomial of each row of a (N, 8) array."""
-    return ghz(*a.T)
+def _rows(a):
+    """Rows of numbers, those of an array as lists of Python numbers."""
+    return a.tolist() if hasattr(a, "tolist") else a
 
 
-def clause_quantities_batch(a):
-    """The six clause quantities of each row of a (N, 8) array, as (N, 6)."""
-    return np.stack(clauses(*a.T), axis=1)
+def ghz_invariant_batch(a) -> list:
+    """GHZ criterion polynomial of each row of 8 numbers."""
+    return [ghz(*row) for row in _rows(a)]
+
+
+def clause_quantities_batch(a) -> list:
+    """The six clause quantities of each row of 8 numbers."""
+    return [clauses(*row) for row in _rows(a)]
 
 
 def tri_code(row, eps):
@@ -155,7 +156,7 @@ def tri_code(row, eps):
     if scale == 0.0:
         return CODE_ZERO
     if not SCALE_LO <= scale <= SCALE_HI:
-        row = pow2_scaled(np.array(row), scale).tolist()
+        row = pow2_scaled(row, scale)
         scale = max(map(abs, row))
     if abs(ghz(*row)) > eps * scale**4:
         return CODE_GHZ
@@ -168,11 +169,12 @@ def tri_code(row, eps):
     )
 
 
-def tri_codes_batch(a, eps):
-    """Verdict code of each row of a (N, 8) array (see the table above)."""
-    return np.array([tri_code(row, eps) for row in a.tolist()], dtype=np.int8)
+def tri_codes_batch(a, eps) -> list:
+    """Verdict code of each row of 8 numbers (see the table above)."""
+    return [tri_code(row, eps) for row in _rows(a)]
 
 
-def pencil_elements(phi0, phi1, xy):
-    """Rows ``x phi0 + y phi1`` for each (x, y) row of a (N, 2) array."""
-    return xy[:, 0, None] * phi0[None, :] + xy[:, 1, None] * phi1[None, :]
+def pencil_elements(phi0, phi1, xy) -> list:
+    """Rows ``x phi0 + y phi1`` for each pair (x, y) of ``xy``."""
+    pairs = list(zip(phi0, phi1))
+    return [[x * a + y * b for a, b in pairs] for x, y in xy]

@@ -13,8 +13,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import kernels
 from .errors import (
     AmbiguousClassification,
@@ -24,7 +22,7 @@ from .errors import (
     InternalContradiction,
     ZeroState,
 )
-from .qstate import DEFAULT_EPS, PureState, _herm2_eigs
+from .qstate import DEFAULT_EPS, PureState, _herm2_eigs, complex_values
 from .tri import TriClass, _class_from_code, classify3_batch, classify3_exact_amps
 
 
@@ -76,34 +74,31 @@ class QuarticForm(NamedTuple):
     of phi0 and phi1, where ``quartic_roots`` reports it.
     """
 
-    c: np.ndarray
+    c: tuple
     amp_scale: float
     scales: tuple = (1.0, 1.0)
 
     def evaluate(self, x, y) -> complex:
-        x, y = complex(x), complex(y)
-        xs = np.array([x**4, x**3 * y, x**2 * y**2, x * y**3, y**4])
-        return complex(np.dot(self.c, xs))
+        return sum(ck * x ** (4 - k) * y**k for k, ck in enumerate(self.c))
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
-        return max(np.abs(self.c).tolist()) <= eps * self.amp_scale**4
+        return max(map(abs, self.c)) <= eps * self.amp_scale**4
 
 
 class QuadraticForm(NamedTuple):
     """Homogeneous quadratic c0 x^2 + c1 xy + c2 y^2."""
 
-    c: np.ndarray
+    c: tuple
     amp_scale: float
     exact: tuple = None
 
     def evaluate(self, x, y) -> complex:
-        x, y = complex(x), complex(y)
-        return complex(self.c[0] * x * x + self.c[1] * x * y + self.c[2] * y * y)
+        return self.c[0] * x * x + self.c[1] * x * y + self.c[2] * y * y
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
         if self.exact is not None:
             return all(z.is_zero for z in self.exact)
-        return max(np.abs(self.c).tolist()) <= eps * self.amp_scale**2
+        return max(map(abs, self.c)) <= eps * self.amp_scale**2
 
 
 class SpanProfile(NamedTuple):
@@ -137,27 +132,27 @@ class SpanProfile(NamedTuple):
         }
 
 
-def _amps_of(state) -> np.ndarray:
+def _amps_of(state) -> tuple:
     if isinstance(state, PureState):
         if state.n != 3:
             raise DegeneratePencil(f"pencil vectors must be 3-qubit, got n={state.n}")
-        return state.amps
-    arr = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if arr.shape != (8,):
+        return state.values
+    values = complex_values(state)
+    if len(values) != 8:
         raise DegeneratePencil("pencil vectors must have 8 amplitudes")
-    return arr
+    return values
 
 
 def _check_inputs(phi0, phi1):
-    """The two pencil vectors as arrays, with their largest magnitudes.
+    """The two pencil vectors as tuples, with their largest magnitudes.
 
     When the larger magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``], both vectors are rescaled by the same exact
     power of two, which leaves every point of the pencil in place."""
     p0 = _amps_of(phi0)
     p1 = _amps_of(phi1)
-    s0 = max(np.abs(p0).tolist())
-    s1 = max(np.abs(p1).tolist())
+    s0 = max(map(abs, p0))
+    s1 = max(map(abs, p1))
     if s0 == 0.0:
         raise ZeroState("phi0 is the zero vector")
     if s1 == 0.0:
@@ -166,29 +161,35 @@ def _check_inputs(phi0, phi1):
     if not kernels.SCALE_LO <= top <= kernels.SCALE_HI:
         p0 = kernels.pow2_scaled(p0, top)
         p1 = kernels.pow2_scaled(p1, top)
-        s0 = max(np.abs(p0).tolist())
-        s1 = max(np.abs(p1).tolist())
+        s0 = max(map(abs, p0))
+        s1 = max(map(abs, p1))
     return p0, p1, s0, s1
 
 
 #: Interpolation nodes (x, y) of the quartic and of the clause quadratics.
-_QUARTIC_NODES = np.array(kernels.NODES, dtype=np.complex128)
+_QUARTIC_NODES = tuple((complex(x), complex(y)) for x, y in kernels.NODES)
 _QUADRATIC_NODES = _QUARTIC_NODES[:3]
 
 
-def quartic(phi0, phi1) -> QuarticForm:
+def quartic(phi0, phi1, scales=None) -> QuarticForm:
     """Quartic form equal to the GHZ criterion of ``x phi0 + y phi1``.
 
     Coefficients are obtained from evaluations at five fixed nodes; the
     endpoint coefficients come from (1,0) and (0,1) alone, so the y^4
     coefficient is exactly the invariant of ``phi1``.  For vectors outside
     the scale window it is the quartic of the rescaled pencil (see
-    ``_check_inputs``).
+    ``_check_inputs``).  ``analyze_span`` passes ``scales`` = (s0, s1) with
+    two vectors that it has already checked and divided by s0 and s1, so
+    that their largest magnitude is 1; they are not checked again, and the
+    form keeps the scales (see :class:`QuarticForm`).
     """
-    p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    rows = kernels.pencil_elements(p0, p1, _QUARTIC_NODES).tolist()
+    amp_scale = 1.0
+    if scales is None:
+        phi0, phi1, s0, s1 = _check_inputs(phi0, phi1)
+        amp_scale, scales = max(s0, s1), (1.0, 1.0)
+    rows = kernels.pencil_elements(phi0, phi1, _QUARTIC_NODES)
     c = kernels.quartic_coefficients(*[kernels.ghz(*row) for row in rows])
-    return QuarticForm(c=np.array(c), amp_scale=max(s0, s1))
+    return QuarticForm(c, amp_scale, scales)
 
 
 def clause_quadratics(phi0, phi1) -> tuple:
@@ -196,9 +197,8 @@ def clause_quadratics(phi0, phi1) -> tuple:
     into the three clause pairs."""
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
     q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, _QUADRATIC_NODES))
-    alpha, beta, gamma = kernels.quadratic_coefficients(*q)
-    forms = tuple(QuadraticForm(c=np.array(abc), amp_scale=max(s0, s1))
-                  for abc in zip(alpha, beta, gamma))
+    forms = tuple(QuadraticForm(kernels.quadratic_coefficients(*values), max(s0, s1))
+                  for values in zip(*q))
     return (forms[0:2], forms[2:4], forms[4:6])
 
 
@@ -472,9 +472,7 @@ def _double_roots(c, square: bool) -> list:
     a square, g / g0 = (t^2 + p t + r)^2; otherwise the double root d is the
     root of the linear gcd of g(t, 1) and its derivative, and deflating
     (t - d)^2 leaves the quadratic of the simple roots."""
-    def f(x, y):
-        return sum(ck * x ** (4 - k) * y**k for k, ck in enumerate(c))
-
+    f = QuarticForm(c, 1.0).evaluate
     a, b = max(_ANCHORS, key=lambda ab: abs(f(*ab)))
     g0, g1, g2, g3, g4 = kernels.quartic_coefficients(*(f(a * u - b * v, b * u + a * v)
                                                         for u, v in kernels.NODES))
@@ -511,7 +509,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     """
     if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
-    c = q.c.tolist()
+    c = list(map(complex, q.c))
     scale = 2.0 ** -math.frexp(max(map(abs, c)))[1]
     c0, c1, c2, c3, c4 = c = [z * scale for z in c]
     nu = _NOISE * q.amp_scale**4 * scale
@@ -549,7 +547,7 @@ def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
     """Roots of a quadratic form, clustered with radius ``sqrt(eps)``."""
     if f.identically_zero(eps):
         return []
-    roots = _raw_projective_roots(f.c.tolist(), eps)
+    roots = _raw_projective_roots(list(f.c), eps)
     return cluster_points([ProjectivePoint(x, y) for x, y in roots], math.sqrt(eps))
 
 
@@ -573,14 +571,14 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
         return _quadratic_roots(g, eps)
     if gz:
         return _quadratic_roots(f, eps)
-    scale = float(np.abs(f.c).max()) * float(np.abs(g.c).max())
+    scale = max(map(abs, f.c)) * max(map(abs, g.c))
     if f.exact is not None and g.exact is not None:
         if kernels.resultant(f.exact, g.exact):
             return []
     elif abs(complex(kernels.resultant(f.c, g.c))) > eps * scale**2:
         return []
-    a1, b1, c1 = f.c.tolist()
-    a2, b2, c2 = g.c.tolist()
+    a1, b1, c1 = f.c
+    a2, b2, c2 = g.c
     if max(abs(a1), abs(a2)) >= max(abs(c1), abs(c2)):
         l0, l1 = a2 * b1 - a1 * b2, a2 * c1 - a1 * c2
     else:
@@ -589,7 +587,7 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
     # order r^2 and a linear form of order r; of two proportional forms the
     # larger one has the smaller relative error
     if max(abs(l0), abs(l1)) <= math.sqrt(eps) * scale:
-        return _quadratic_roots(max(f, g, key=lambda form: float(np.abs(form.c).max())), eps)
+        return _quadratic_roots(max(f, g, key=lambda form: max(map(abs, form.c))), eps)
     return [ProjectivePoint(-l1, l0)]
 
 
@@ -620,16 +618,8 @@ class _ExactContext:
 def _classify_points(p0, p1, points, eps):
     """classify3 for a list of projective points on the (float) pencil, each
     row x p0 + y p1 formed in Python."""
-    if not points:
-        return []
-    pairs = list(zip(p0.tolist(), p1.tolist()))
+    pairs = list(zip(p0, p1))
     return classify3_batch([[pt.x * a + pt.y * b for a, b in pairs] for pt in points], eps)
-
-
-def _rescale_point(pt: ProjectivePoint, s0: float, s1: float) -> ProjectivePoint:
-    """Map a point from the internally normalized basis back to the
-    caller's basis (phi0/s0, phi1/s1 -> phi0, phi1)."""
-    return ProjectivePoint(pt.x / s0, pt.y / s1, pt.multiplicity)
 
 
 def analyze_span(
@@ -664,16 +654,19 @@ def analyze_span(
         raise DegeneratePencil("spanning vectors are linearly dependent")
 
     ctx = _ExactContext(p0, p1) if exact else None
-    n0 = p0 / s0
-    n1 = p1 / s1
-    qform = quartic(n0, n1)
+    r0, r1 = 1.0 / s0, 1.0 / s1
+    n0 = [z * r0 for z in p0]
+    n1 = [z * r1 for z in p1]
+    qform = quartic(n0, n1, (s0, s1))
     if ctx is not None and not any(ctx.exact.quartic_exact(ctx.p0, ctx.p1)):
         return _profile_degenerate_quartic(n0, n1, s0, s1, eps, ctx)
-    if qform.identically_zero(eps):
+    try:
+        roots = quartic_roots(qform, eps)
+    except IdenticallyZero:
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
         return _profile_degenerate_quartic(n0, n1, s0, s1, eps, None)
-    return _profile_ghz_generic(p0, p1, QuarticForm(qform.c, qform.amp_scale, (s0, s1)), eps, ctx)
+    return _profile_ghz_generic(p0, p1, roots, eps, ctx)
 
 
 def _classify_candidate(pt, cls_float, generic, ctx):
@@ -695,10 +688,9 @@ def _classify_candidate(pt, cls_float, generic, ctx):
     return None
 
 
-def _profile_ghz_generic(p0, p1, qform, eps, ctx):
-    """Profile of a pencil with a nonzero quartic; the roots of ``qform``
-    come back in the coordinates of the pencil of p0 and p1."""
-    roots = quartic_roots(qform, eps)
+def _profile_ghz_generic(p0, p1, roots, eps, ctx):
+    """Profile of a pencil with a nonzero quartic, from its roots in the
+    coordinates of the pencil of p0 and p1."""
     exceptional = list(zip(roots, _classify_points(p0, p1, roots, eps)))
     if ctx is not None:
         # trust the snapped exact class only when the snap landed on the
@@ -714,10 +706,10 @@ def _profile_ghz_generic(p0, p1, qform, eps, ctx):
 #: ``default_rng(20260809)``'s ``standard_normal((2, 2)) + 1j *
 #: standard_normal((2, 2))``, each divided by its norm, written out so that
 #: importing the package does not load ``numpy.random``.
-_FLOAT_PROBES = np.array([
-    [-0.24549527120333023 - 0.596496358462719j, 0.3420245328601962 - 0.6833325581876539j],
-    [0.23192163483687414 + 0.11203648647438531j, -0.7863805108923078 - 0.5614854166243496j],
-])
+_FLOAT_PROBES = (
+    (-0.24549527120333023 - 0.596496358462719j, 0.3420245328601962 - 0.6833325581876539j),
+    (0.23192163483687414 + 0.11203648647438531j, -0.7863805108923078 - 0.5614854166243496j),
+)
 
 
 def _probe_generic_type(p0, p1, eps):
@@ -770,7 +762,7 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
     classes = _classify_points(p0, p1, centroids, eps)
     exceptional = []
     for pt, cls in zip(centroids, classes):
-        mapped = _rescale_point(pt, s0, s1)
+        mapped = ProjectivePoint(pt.x / s0, pt.y / s1)  # back to the basis phi0, phi1
         recorded = _classify_candidate(mapped, cls, generic, ctx)
         if recorded is not None:
             exceptional.append((mapped, recorded))

@@ -7,11 +7,12 @@ all rank and zero decisions use tolerances relative to the largest
 magnitude in the object at hand.
 """
 
+import cmath
 import json
+import math
 from collections.abc import Mapping
+from itertools import combinations
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -27,46 +28,66 @@ DEFAULT_EPS = 1e-9
 DET_FLOOR = 1e-300
 
 
-class PureState:
-    """An unnormalized pure state of ``n`` qubits (1 <= n <= 4)."""
+def complex_values(amps) -> tuple:
+    """The amplitudes as a flat tuple of Python complex numbers, from a
+    sequence of numbers or from an array of any shape."""
+    if hasattr(amps, "reshape"):
+        amps = amps.reshape(-1).tolist()
+    return tuple(map(complex, amps))
 
-    __slots__ = ("n", "amps")
+
+class PureState:
+    """An unnormalized pure state of ``n`` qubits (1 <= n <= 4).
+
+    ``values`` holds the amplitudes as a tuple of Python complex numbers,
+    which is what the classifier reads.  ``amps`` is the same vector as a
+    read-only complex128 array; it is built, and numpy imported, the first
+    time it is read."""
+
+    __slots__ = ("n", "values", "_array")
 
     def __init__(self, amps):
-        arr = np.asarray(amps, dtype=np.complex128).reshape(-1).copy()
-        size = arr.shape[0]
+        values = complex_values(amps)
+        size = len(values)
         n = size.bit_length() - 1
         if size != 2**n or not 1 <= n <= 4:
             raise DimensionMismatch(
                 f"amplitude vector of length {size} is not a 1..4 qubit state"
             )
-        if not np.isfinite(arr).all():
+        if not all(map(cmath.isfinite, values)):
             raise StateFormatError("amplitudes must be finite")
-        arr.setflags(write=False)
         self.n = n
-        self.amps = arr
+        self.values = values
+        self._array = None
 
     @classmethod
-    def _wrap(cls, amps, n: int) -> "PureState":
-        """A state on an already validated read-only complex128 vector of
-        2**n amplitudes, without copying or checking it again."""
+    def _wrap(cls, values: tuple, n: int) -> "PureState":
+        """A state on an already validated tuple of 2**n complex amplitudes,
+        without copying or checking it again."""
         state = cls.__new__(cls)
         state.n = n
-        state.amps = amps
+        state.values = values
+        state._array = None
         return state
 
+    @property
+    def amps(self):
+        if self._array is None:
+            import numpy as np
+
+            arr = np.array(self.values, dtype=np.complex128)
+            arr.setflags(write=False)
+            self._array = arr
+        return self._array
+
     def max_abs(self) -> float:
-        return max(np.abs(self.amps).tolist())
+        return max(map(abs, self.values))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def reshaped(self):
-        """Amplitudes viewed as a (2,)*n tensor, one axis per qubit."""
-        return self.amps.reshape((2,) * self.n)
+        return math.hypot(*(x for z in self.values for x in (z.real, z.imag)))
 
     def __repr__(self):
-        return f"PureState(n={self.n}, amps={self.amps!r})"
+        return f"PureState(n={self.n}, amps={list(self.values)!r})"
 
 
 class LocalOperator:
@@ -75,6 +96,8 @@ class LocalOperator:
     __slots__ = ("m",)
 
     def __init__(self, m):
+        import numpy as np
+
         arr = np.asarray(m, dtype=np.complex128)
         if arr.shape != (2, 2):
             raise DimensionMismatch("local operator must be a 2x2 matrix")
@@ -93,11 +116,9 @@ class LocalOperator:
         return complex(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
 
     def inverse(self) -> "LocalOperator":
-        d = self.det
-        inv = np.array(
-            [[self.m[1, 1], -self.m[0, 1]], [-self.m[1, 0], self.m[0, 0]]]
-        ) / d
-        return LocalOperator(inv)
+        (a, b), (c, d) = self.m.tolist()
+        det = self.det
+        return LocalOperator([[d / det, -b / det], [-c / det, a / det]])
 
 
 class SloccOp:
@@ -120,7 +141,7 @@ class SloccOp:
 
     @classmethod
     def identity(cls, n: int) -> "SloccOp":
-        return cls(tuple(LocalOperator(np.eye(2)) for _ in range(n)))
+        return cls(tuple(LocalOperator(((1, 0), (0, 1))) for _ in range(n)))
 
     def inverse(self) -> "SloccOp":
         return SloccOp(tuple(op.inverse() for op in self.ops))
@@ -149,11 +170,27 @@ _EINSUM = {
 
 def apply_slocc(state: PureState, op: SloccOp) -> PureState:
     """Apply the tensor product of the per-qubit operators to the state."""
+    import numpy as np
+
     if op.n != state.n:
         raise DimensionMismatch(f"operator acts on {op.n} qubits, state has {state.n}")
     mats = [o.m for o in op.ops]
-    out = np.einsum(_EINSUM[state.n], *mats, state.reshaped())
-    return PureState(out.reshape(-1))
+    out = np.einsum(_EINSUM[state.n], *mats, state.amps.reshape((2,) * state.n))
+    return PureState(out)
+
+
+def _split_index(n: int, qubits) -> tuple:
+    """Amplitude indices of an n-qubit state as a matrix (a tuple of rows)
+    whose rows are indexed by the given (1-based) qubits, the other qubits
+    in order along the columns."""
+    order = list(qubits) + [q for q in range(1, n + 1) if q not in qubits]
+    flat = [sum(((i >> (n - 1 - pos)) & 1) << (n - q) for pos, q in enumerate(order))
+            for i in range(2**n)]
+    cols = 2 ** (n - len(qubits))
+    return tuple(tuple(flat[r : r + cols]) for r in range(0, 2**n, cols))
+
+
+_SPLIT_INDEX = {(n, k): _split_index(n, (k,)) for n in (2, 3, 4) for k in range(1, n + 1)}
 
 
 def decompose(state: PureState, distinguished: int) -> Decomposition:
@@ -164,11 +201,11 @@ def decompose(state: PureState, distinguished: int) -> Decomposition:
         raise DimensionMismatch(
             f"distinguished qubit {distinguished} out of range 1..{state.n}"
         )
-    rows = state.amps[_SPLIT_INDEX[state.n, distinguished]]
-    rows.setflags(write=False)
+    at = state.values.__getitem__
+    row0, row1 = _SPLIT_INDEX[state.n, distinguished]
     return Decomposition(
-        phi0=PureState._wrap(rows[0], state.n - 1),
-        phi1=PureState._wrap(rows[1], state.n - 1),
+        phi0=PureState._wrap(tuple(map(at, row0)), state.n - 1),
+        phi1=PureState._wrap(tuple(map(at, row1)), state.n - 1),
         distinguished=distinguished,
     )
 
@@ -176,8 +213,9 @@ def decompose(state: PureState, distinguished: int) -> Decomposition:
 def recompose(d: Decomposition) -> PureState:
     """Inverse of :func:`decompose`; a pure index permutation, no arithmetic."""
     n = d.phi0.n + 1
-    arr = np.stack([d.phi0.reshaped(), d.phi1.reshaped()])
-    return PureState(np.moveaxis(arr, 0, d.distinguished - 1).reshape(2**n))
+    row0, row1 = _SPLIT_INDEX[n, d.distinguished]
+    placed = sorted(zip(row0 + row1, d.phi0.values + d.phi1.values))  # indices are distinct
+    return PureState._wrap(tuple(z for _, z in placed), n)
 
 
 def permute_qubits(state: PureState, perm) -> PureState:
@@ -185,18 +223,23 @@ def permute_qubits(state: PureState, perm) -> PureState:
     perm = tuple(perm)
     if sorted(perm) != list(range(1, state.n + 1)):
         raise DimensionMismatch(f"{perm} is not a permutation of 1..{state.n}")
-    axes = tuple(p - 1 for p in perm)
-    return PureState(state.reshaped().transpose(axes).reshape(-1))
+    order = [i for (i,) in _split_index(state.n, perm)]  # one index per row
+    return PureState._wrap(tuple(map(state.values.__getitem__, order)), state.n)
+
+
+def _norm2(u) -> float:
+    """Squared Euclidean norm of a sequence of complex numbers."""
+    return sum([z.real * z.real + z.imag * z.imag for z in u])
 
 
 def _herm2_eigs(u, v):
-    """Eigenvalues (min, max) of the 2x2 Gram matrix of two row vectors,
-    in closed form."""
-    g00 = float(np.vdot(u, u).real)
-    g11 = float(np.vdot(v, v).real)
-    g01 = complex(np.vdot(v, u))
+    """Eigenvalues (min, max) of the 2x2 Gram matrix of two complex
+    sequences, in closed form."""
+    g00 = _norm2(u)
+    g11 = _norm2(v)
+    g01 = sum([b.conjugate() * a for a, b in zip(u, v)])
     tr = g00 + g11
-    disc = ((g00 - g11) ** 2 + 4.0 * (g01.real**2 + g01.imag**2)) ** 0.5
+    disc = ((g00 - g11) * (g00 - g11) + 4.0 * (g01.real * g01.real + g01.imag * g01.imag)) ** 0.5
     return max(0.5 * (tr - disc), 0.0), 0.5 * (tr + disc)
 
 
@@ -206,7 +249,7 @@ def span_dimension(d: Decomposition, eps: float = DEFAULT_EPS) -> int:
     Returns 2 iff the smallest singular value of the Gram matrix of the two
     residual states exceeds ``eps`` times the largest.
     """
-    lo, hi = _herm2_eigs(d.phi0.amps, d.phi1.amps)
+    lo, hi = _herm2_eigs(d.phi0.values, d.phi1.values)
     if hi <= 0.0:
         raise ZeroState("both residual states vanish")
     return 2 if lo > eps * hi else 1
@@ -215,90 +258,74 @@ def span_dimension(d: Decomposition, eps: float = DEFAULT_EPS) -> int:
 #: The seven nontrivial bipartitions of four qubits, named by the qubits on
 #: the row side of the reshaped amplitude matrix.
 BIPARTITIONS = ((1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4))
-
-
-def _split_index(n: int, qubits) -> np.ndarray:
-    """Amplitude indices of an n-qubit state as a matrix whose rows are
-    indexed by the given (1-based) qubits, the other qubits in order along
-    the columns."""
-    first = [q - 1 for q in qubits]
-    axes = first + [k for k in range(n) if k not in first]
-    tensor = np.arange(2**n).reshape((2,) * n).transpose(axes)
-    return tensor.reshape(2 ** len(first), -1)
-
-
-_SPLIT_INDEX = {(n, k): _split_index(n, (k,)) for n in (2, 3, 4) for k in range(1, n + 1)}
 _CUT_INDEX = {cut: _split_index(4, cut) for cut in BIPARTITIONS}
-#: (3, 4, 4): the amplitude matrices of the three pair cuts.
-_PAIR_CUTS = np.stack([_CUT_INDEX[cut] for cut in BIPARTITIONS[4:]])
 
 
-def _minor_factors():
-    """Amplitude indices of the factors of the two products M[r, c] M[s, d]
-    and M[r, d] M[s, c] of every 2x2 minor (r < s, c < d) of every cut
-    matrix M, as a (2, 440) array: the first 220 columns hold the first
-    products and the last 220 the second, so that their difference lists
-    the 4 x 28 minors of the single-qubit 2x8 cuts and then the 3 x 36
-    minors of the pair 4x4 cuts.  Each pair cut starts with the Laplace
-    terms of its determinant along columns (0, 1): six minors on those
-    columns, signed, then the six on columns (2, 3) of the complementary
-    row pairs, so that det M is the sum of their six products."""
-    laplace = np.concatenate([np.arange(0, 36, 6), np.arange(35, 0, -6)])
-    others = np.ones(36, dtype=bool)
-    others[laplace] = False
-    order = np.concatenate([laplace, np.flatnonzero(others)])
-    negative = [1, 4]  # row pairs (0, 2) and (1, 3)
-    first, second = [], []
-    for cut in BIPARTITIONS:
-        m = _CUT_INDEX[cut]
-        r, s = np.triu_indices(m.shape[0], 1)
-        c, d = np.triu_indices(m.shape[1], 1)
-        r, s = r[:, None], s[:, None]
-        one = np.stack([m[r, c], m[s, d]]).reshape(2, -1)
-        two = np.stack([m[r, d], m[s, c]]).reshape(2, -1)
-        if len(cut) == 2:
-            one, two = one[:, order], two[:, order]
-            one[:, negative], two[:, negative] = two[:, negative], one[:, negative]
-        first.append(one)
-        second.append(two)
-    return np.concatenate(first + second, axis=1)
+def _cut_minors(m) -> tuple:
+    """Factor indices (i, j, k, l) of the 2x2 minors z[i] z[j] - z[k] z[l]
+    of the index matrix ``m``, one per rows r < s and columns c < d.  For a
+    4x4 matrix the first twelve are the Laplace terms of its determinant
+    along columns (0, 1): the minors on those columns of the six row pairs,
+    signed, then those on columns (2, 3) of the complementary row pairs in
+    the same order, so that det is the sum of products of the k-th and
+    (k + 6)-th."""
+    minors = [(m[r][c], m[s][d], m[r][d], m[s][c])
+              for r, s in combinations(range(len(m)), 2) for c, d in combinations(range(len(m[0])), 2)]
+    if len(m) == 4:
+        laplace = [6 * p for p in range(6)] + [6 * (5 - p) + 5 for p in range(6)]
+        minors = [minors[k] for k in laplace + [k for k in range(36) if k not in laplace]]
+        for p in (1, 4):  # row pairs (0, 2) and (1, 3) take a minus sign
+            i, j, k, l = minors[p]
+            minors[p] = (k, l, i, j)
+    return tuple(minors)
 
 
-_MINOR_FACTORS = _minor_factors()
-_MINOR_COUNT = _MINOR_FACTORS.shape[1] // 2
-#: Floats (real and imaginary parts) of the single-cut minors, which come first.
-_SINGLE_FLOATS = 4 * 28 * 2
+#: The minors of each cut in ``BIPARTITIONS``: 28 for a single-qubit 2x8
+#: cut, 36 for a pair 4x4 cut.
+_MINOR_FACTORS = tuple(_cut_minors(_CUT_INDEX[cut]) for cut in BIPARTITIONS)
 
-# Pair-cut ranks without an SVD.  A pair cut M (4x4) has singular values
-# s1 >= .. >= s4 and t = ||M||_F^2 = ||amps||^2, so s1^2 <= t <= 4 s1^2 and
+# Ranks without an SVD.  A cut matrix M has singular values s1 >= s2 >= ..
+# and t = ||M||_F^2 = ||amps||^2, so s1^2 <= t, and by Cauchy-Binet
+# e2 = sum |2x2 minor|^2 = sum_{i<j} si^2 sj^2: that is s1^2 s2^2 for a 2x8
+# cut and at most 6 s1^2 s2^2 for a 4x4 one.  A single-qubit cut has rank
+# 2 when its closed form s2/s1 = sqrt(e2) / lmax, lmax the larger root of
+# l^2 - t l + e2, exceeds eps.  For a pair cut (4 x 4, s1^2 <= t <= 4 s1^2)
 #   s4/s1   >= |det M| / s1^4 >= |det M| / t^2,
-#   s2^2/s1^2 <= e2 / s1^4  <= 16 e2 / t^2,  e2 = sum |2x2 minor|^2
-# (Cauchy-Binet: e2 = sum_{i<j} si^2 sj^2 >= s1^2 s2^2).  np.linalg.svd
-# returns singular values off by at most p u s1 (backward stability and
-# Weyl; u = 2^-53, p a small polynomial in the size: at most 4 measured
-# on random and ill-conditioned 4x4 matrices against 40-digit references),
-# so its count of sv > eps sv[0] is 4 when s4/s1 > eps + 2 p u and 1 when
-# s2/s1 < eps - 2 p u, for eps in (0, 1).
+#   s2^2/s1^2 <= e2 / s1^4  <= 16 e2 / t^2.
+# np.linalg.svd returns singular values off by at most p u s1 (backward
+# stability and Weyl; u = 2^-53, p a small polynomial in the size: at most
+# 4 measured on random and ill-conditioned 4x4 matrices against 40-digit
+# references), so its count of sv > eps sv[0] is 4 when s4/s1 > eps + 2 p u,
+# at least 2 when s2/s1 > eps + 2 p u and 1 when s2/s1 < eps - 2 p u, for
+# eps in (0, 1).
 # Rounding (first order in u): each minor is off by at most
-# (sqrt(5) + 1) u (|M_rc M_sd| + |M_rd M_sc|); summed over the six Laplace
-# products that bounds the error of det by 14 u perm|M| <= 14 u t^2, and
-# the error of 4 sqrt(e2) by 13 u t; t itself is off by at most 32 u
-# relative.  So
-#   rank 4 when |det| > T t^2, T = max(K eps, F): s4/s1 > T (1 - 64 u) - 14 u,
-#   rank 1 when eps > F and 16 e2 < (eps/K)^2 t^2: s2/s1 < (eps/K)(1 + 70 u) + 13 u,
-# and both imply LAPACK's count for every eps in (0, 1) as soon as
-# F (1 - 1/K - 64 u) >= (14 + 2 p) u.  K = 1e3 and F = 1e-12 (~4500 u) hold
-# it for p up to 2200; the factor K keeps the decided ranks far from eps.
-# Cuts that neither test decides go to the SVD.
+# (sqrt(5) + 1) u (|M_rc M_sd| + |M_rd M_sc|) <= 1.7 u t; summed over the
+# six Laplace products that bounds the error of det by 14 u perm|M| <=
+# 14 u t^2, and the error of 4 sqrt(e2) by 13 u t; t itself is off by at
+# most 32 u relative, |m|^2 = re^2 + im^2 by 2 u.  So, with
+# T = max(K eps, F),
+#   rank >= 2 when one minor has |m|^2 > c T^2 t^2 (c = 1 for a single-
+#             qubit cut, 6 for a pair cut): s2/s1 > T (1 - 35 u) - 1.7 u,
+#   rank 4    when |det| > T t^2: s4/s1 > T (1 - 64 u) - 14 u,
+#   rank 1    when eps > F and 16 e2 < (eps/K)^2 t^2: s2/s1 < (eps/K)(1 + 70 u) + 13 u,
+# and each implies LAPACK's count, and the first the closed form's verdict
+# (whose own rounding is a few tens of u relative), for every eps in
+# (0, 1) as soon as F (1 - 1/K - 64 u) >= (14 + 2 p) u.  K = 1e3 and
+# F = 1e-12 (~4500 u) hold it for p up to 2200; the factor K keeps the
+# decided ranks far from eps.  The minors of a cut are summed only when
+# none of them passes the first test; a pair cut that no test decides goes
+# to the SVD.
 _RANK_K = 1e3
 _RANK_FLOOR = 1e-12
 
 
-def cut_matrix(state: PureState, cut) -> np.ndarray:
-    """Amplitude matrix of a 4-qubit state reshaped along the given cut."""
+def cut_matrix(state: PureState, cut) -> list:
+    """Amplitude matrix of a 4-qubit state reshaped along the given cut, as
+    a list of rows of complex numbers."""
     if state.n != 4:
         raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
-    return state.amps[_CUT_INDEX[tuple(cut)]]
+    at = state.values.__getitem__
+    return [list(map(at, row)) for row in _CUT_INDEX[tuple(cut)]]
 
 
 #: Squared norms in [_NORM2_LO, _NORM2_HI] put the largest magnitude
@@ -311,38 +338,52 @@ _NORM2_HI = SCALE_HI**2
 def _windowed(state: PureState, what: str):
     """``(state, ||amps||^2)``, with the state rescaled by an exact power of
     two when its squared norm lies outside the window."""
-    t = float(np.vdot(state.amps, state.amps).real)
+    t = _norm2(state.values)
     if _NORM2_LO <= t <= _NORM2_HI:
         return state, t
     top = state.max_abs()
     if top == 0.0:
         raise ZeroState(f"cannot {what} the zero state")
-    state = PureState(pow2_scaled(state.amps, top))
-    return state, float(np.vdot(state.amps, state.amps).real)
+    state = PureState._wrap(pow2_scaled(state.values, top), state.n)
+    return state, _norm2(state.values)
 
 
 class CutRanks(Mapping):
     """Read-only mapping from each of the seven ``BIPARTITIONS`` to its rank,
     as :func:`bipartition_ranks` decides it.
 
-    The pair cuts that the minor tests leave open go to ``np.linalg.svd``
-    together when the first of them is read, so a caller that stops reading
-    early (the rank screen, at a separable qubit) never pays for them.
-    ``state`` is the state that was ranked, rescaled into the window."""
+    :meth:`separable` answers only whether a rank is 1, which the minor
+    tests settle for every cut but a pair cut next to ``eps``.  A pair cut
+    of rank 2 or more gets its exact rank, from its determinant or from
+    ``np.linalg.svd``, when it is first read.  ``state`` is the state that
+    was ranked, rescaled into the window."""
 
-    __slots__ = ("state", "_eps", "_ranks")
+    __slots__ = ("state", "_t", "_eps", "_ranks")
 
-    def __init__(self, state: PureState, eps: float, ranks: list):
+    def __init__(self, state: PureState, t: float, eps: float, ranks: list):
         self.state = state
+        self._t = t
         self._eps = eps
-        self._ranks = dict(zip(BIPARTITIONS, ranks))  # 0 for an open pair cut
+        # 0 for a pair cut of rank 2 or more, None for an open one
+        self._ranks = dict(zip(BIPARTITIONS, ranks))
+
+    def separable(self, cut) -> bool:
+        """Whether the cut's amplitude matrix has rank 1."""
+        return self._ranks[cut] == 1 or self._ranks[cut] is None and self[cut] == 1
 
     def __getitem__(self, cut):
-        if not self._ranks[cut]:
-            pairs = [k for k in range(3) if not self._ranks[BIPARTITIONS[4 + k]]]
-            sv = np.linalg.svd(self.state.amps[_PAIR_CUTS[pairs]], compute_uv=False)
-            counts = (sv > self._eps * sv[:, :1]).sum(axis=1).tolist()
-            self._ranks.update((BIPARTITIONS[4 + k], n) for k, n in zip(pairs, counts))
+        if not self._ranks[cut]:  # a pair cut: rank 4 from its determinant, else the SVD
+            z = self.state.values
+            laplace = [z[i] * z[j] - z[k] * z[l]
+                       for i, j, k, l in _MINOR_FACTORS[BIPARTITIONS.index(cut)][:12]]
+            det = abs(sum([a * b for a, b in zip(laplace[:6], laplace[6:])]))
+            if det > max(_RANK_K * self._eps, _RANK_FLOOR) * self._t * self._t:
+                self._ranks[cut] = 4
+            else:
+                import numpy as np
+
+                sv = np.linalg.svd(np.array(cut_matrix(self.state, cut)), compute_uv=False)
+                self._ranks[cut] = int((sv > self._eps * sv[0]).sum())
         return self._ranks[cut]
 
     def __iter__(self):
@@ -358,36 +399,40 @@ class CutRanks(Mapping):
 def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
     """Numerical rank of the amplitude matrix along each of the 7 cuts.
 
-    Single-qubit cuts compare the closed-form sigma_min/sigma_max with
-    ``eps``; it comes from the Gram determinant, accumulated as a sum of
-    squared 2x2 minors so that exact rank deficiency is resolved to ~1e-16
-    rather than sqrt(machine eps), and from sigma_1^2 + sigma_2^2 = t.  Pair
-    cuts are decided from the determinant and the squared minors (see the
-    bound above) and fall back to the SVD, when read, only where neither is
-    conclusive.
+    A cut whose 2x2 minors include one large enough has rank 2 or more (see
+    the bounds above).  Otherwise its squared minors are summed: a
+    single-qubit cut compares the closed-form sigma_min/sigma_max with
+    ``eps``, from the Gram determinant (that sum, so that exact rank
+    deficiency is resolved to ~1e-16 rather than sqrt(machine eps)) and
+    sigma_1^2 + sigma_2^2 = t, and a pair cut has rank 1 when the sum is
+    small enough.  A pair cut's exact rank comes from its determinant and
+    falls back to the SVD, when read, only where that is not conclusive.
     """
     state, t = _windowed(state, "rank")
     if state.n != 4:
         raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
-    factors = state.amps[_MINOR_FACTORS]
-    products = factors[0] * factors[1]
-    minors = products[:_MINOR_COUNT] - products[_MINOR_COUNT:]
-    parts = minors.view(np.float64)
-    squares = parts * parts
-    ranks = []
-    for det in squares[:_SINGLE_FLOATS].reshape(4, 56).sum(axis=1).tolist():
-        lmax = 0.5 * (t + max(t * t - 4.0 * det, 0.0) ** 0.5)
-        ranks.append(2 if det**0.5 / lmax > eps else 1)
-    pair_minors = minors[_SINGLE_FLOATS // 2 :].reshape(3, 36)
-    dets = list(map(abs, (pair_minors[:, :6] * pair_minors[:, 6:12]).sum(axis=1).tolist()))
-    tol4 = max(_RANK_K * eps, _RANK_FLOOR) * t * t
-    if min(dets) > tol4:
-        return CutRanks(state, eps, ranks + [4, 4, 4])
-    e2s = squares[_SINGLE_FLOATS:].reshape(3, 72).sum(axis=1).tolist()
+    z = state.values
+    big = (max(_RANK_K * eps, _RANK_FLOOR) * t) ** 2
     tol1 = (eps / _RANK_K) ** 2 * t * t if eps > _RANK_FLOOR else 0.0
-    for det, e2 in zip(dets, e2s):
-        ranks.append(4 if det > tol4 else 1 if 16.0 * e2 < tol1 else 0)
-    return CutRanks(state, eps, ranks)
+    ranks = []
+    for index, minors in enumerate(_MINOR_FACTORS):
+        single = index < 4
+        bound = big if single else 6.0 * big
+        e2 = 0.0
+        for i, j, k, l in minors:
+            m = z[i] * z[j] - z[k] * z[l]
+            m2 = m.real * m.real + m.imag * m.imag
+            if m2 > bound:
+                ranks.append(2 if single else 0)
+                break
+            e2 += m2
+        else:
+            if single:
+                lmax = 0.5 * (t + max(t * t - 4.0 * e2, 0.0) ** 0.5)
+                ranks.append(2 if e2**0.5 / lmax > eps else 1)
+            else:
+                ranks.append(1 if 16.0 * e2 < tol1 else None)
+    return CutRanks(state, t, eps, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +441,7 @@ def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
 def state_to_json(state: PureState) -> dict:
     return {
         "n": state.n,
-        "amps": [[float(z.real), float(z.imag)] for z in state.amps],
+        "amps": [[z.real, z.imag] for z in state.values],
     }
 
 
@@ -412,7 +457,7 @@ def state_from_json(obj) -> PureState:
         raise StateFormatError(f"'n' must be an integer in 1..4, got {n!r}")
     if not isinstance(amps, list) or len(amps) != 2**n:
         raise StateFormatError(f"'amps' must list 2^{n} = {2**n} entries")
-    vec = np.empty(2**n, dtype=np.complex128)
+    vec = []
     for i, entry in enumerate(amps):
         if (
             not isinstance(entry, (list, tuple))
@@ -421,7 +466,7 @@ def state_from_json(obj) -> PureState:
         ):
             raise StateFormatError(f"amplitude {i} must be a [re, im] number pair")
         try:
-            vec[i] = complex(entry[0], entry[1])
+            vec.append(complex(entry[0], entry[1]))
         except OverflowError:
             raise StateFormatError(f"amplitude {i} is too large for a float") from None
     return PureState(vec)

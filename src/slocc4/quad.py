@@ -92,8 +92,7 @@ class QuadClass(NamedTuple):
 def _exact_cut_rank(state: PureState, cut) -> int:
     from . import exact as _exact
 
-    mat = cut_matrix(state, cut)
-    return _exact.exact_rank([[_exact.GaussianRational.from_complex(z) for z in row] for row in mat])
+    return _exact.exact_rank([_exact.lift(row) for row in cut_matrix(state, cut)])
 
 
 def _degenerate_screen(state: PureState, eps: float, exact: bool):
@@ -103,19 +102,19 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
     qubit or qubit pair factors out, else None, and the state rescaled into
     the window.  The numeric screen always runs (a state within float noise
     of a factorized one must not reach the pencil stage); exact mode
-    additionally certifies exact rank deficiencies.  Each rank is read only
-    when the screen needs it.
+    additionally certifies exact rank deficiencies.  The screen asks of each
+    cut only whether its rank is 1, and only when it needs it.
     """
     ranks = bipartition_ranks(state, eps)
     state = ranks.state
     for k in (1, 2, 3, 4):
-        if ranks[(k,)] == 1 or exact and _exact_cut_rank(state, (k,)) == 1:
+        if ranks.separable((k,)) or exact and _exact_cut_rank(state, (k,)) == 1:
             d = decompose(state, k)
             rest = d.phi0 if d.phi0.max_abs() >= d.phi1.max_abs() else d.phi1
             rest_class = classify3(rest, eps, exact=exact)
             return f"qubit {k} separable; remainder {rest_class}", state
     for cut in ((1, 2), (1, 3), (1, 4)):
-        if ranks[cut] == 1 or exact and _exact_cut_rank(state, cut) == 1:
+        if ranks.separable(cut) or exact and _exact_cut_rank(state, cut) == 1:
             other = tuple(sorted(set((1, 2, 3, 4)) - set(cut)))
             return f"pair {cut} separable from {other}", state
     return None, state

@@ -26,11 +26,9 @@ rationals and every zero test is exact.
 import enum
 from typing import NamedTuple
 
-import numpy as np
-
 from . import kernels
 from .errors import AmbiguousClassification, DimensionMismatch
-from .qstate import DEFAULT_EPS, PureState
+from .qstate import DEFAULT_EPS, PureState, complex_values
 
 
 class TriClass(enum.Enum):
@@ -73,17 +71,16 @@ class ClauseReport(NamedTuple):
     quantities: tuple
 
 
-def _as_amp8(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128).reshape(-1)
-    if arr.shape != (8,):
+def _as_amp8(a) -> tuple:
+    values = complex_values(a)
+    if len(values) != 8:
         raise DimensionMismatch("expected 8 amplitudes of a 3-qubit state")
-    return arr
+    return values
 
 
 def ghz_invariant(a) -> complex:
     """GHZ criterion polynomial of 8 amplitudes (zero vector gives 0)."""
-    arr = _as_amp8(a)
-    return complex(kernels.ghz_invariant_batch(arr.reshape(1, 8))[0])
+    return complex(kernels.ghz_invariant_batch([_as_amp8(a)])[0])
 
 
 def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
@@ -95,10 +92,10 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
     values come from the exact lift and a clause is true when one of its
     quantities is not exactly zero."""
     arr = _as_amp8(a)
-    scale = float(np.abs(arr).max())
+    scale = max(map(abs, arr))
     if scale and not kernels.SCALE_LO <= scale <= kernels.SCALE_HI:
         arr = kernels.pow2_scaled(arr, scale)
-        scale = float(np.abs(arr).max())
+        scale = max(map(abs, arr))
     if exact:
         from . import exact as _exact
 
@@ -106,7 +103,7 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
         ghz, q = kernels.ghz(*lifted), kernels.clauses(*lifted)
         truth = [q[2 * k] or q[2 * k + 1] for k in range(3)]
     else:
-        ghz, q = ghz_invariant(arr), kernels.clause_quantities_batch(arr.reshape(1, 8))[0]
+        ghz, q = ghz_invariant(arr), kernels.clause_quantities_batch([arr])[0]
         thresh = eps * scale * scale
         truth = [abs(q[2 * k]) > thresh or abs(q[2 * k + 1]) > thresh for k in range(3)]
     return ClauseReport(complex(ghz), tuple(map(bool, truth)), tuple(map(complex, q)))
@@ -124,25 +121,21 @@ def _class_from_code(code: int, where="state") -> TriClass:
 def classify3_batch(amps, eps: float = DEFAULT_EPS) -> list:
     """Classify each amplitude row of a (N, 8) array or a list of N rows of
     8 numbers."""
-    rows = amps.tolist() if isinstance(amps, np.ndarray) else amps
-    codes = [kernels.tri_code(row, eps) for row in rows]
+    codes = kernels.tri_codes_batch(amps, eps)
     if kernels.CODE_AMBIGUOUS in codes:  # raises, naming the first such row
         _class_from_code(kernels.CODE_AMBIGUOUS, f"row {codes.index(kernels.CODE_AMBIGUOUS)}")
     return [_CODE_TO_CLASS[code] for code in codes]
 
 
-def _exact_code(lifted) -> int:
-    if all(z.is_zero for z in lifted):
-        return kernels.CODE_ZERO
-    if kernels.ghz(*lifted):
-        return kernels.CODE_GHZ
-    q = kernels.clauses(*lifted)
-    return kernels.clause_code(bool(q[0] or q[1]), bool(q[2] or q[3]), bool(q[4] or q[5]))
-
-
 def classify3_exact_amps(lifted) -> TriClass:
     """Classify a sequence of 8 Gaussian-rational amplitudes exactly."""
-    return _class_from_code(_exact_code(lifted), "exact state")
+    if all(z.is_zero for z in lifted):
+        return TriClass.ZERO
+    if kernels.ghz(*lifted):
+        return TriClass.GHZ
+    q = kernels.clauses(*lifted)
+    code = kernels.clause_code(bool(q[0] or q[1]), bool(q[2] or q[3]), bool(q[4] or q[5]))
+    return _class_from_code(code, "exact state")
 
 
 def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:
@@ -155,11 +148,11 @@ def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:
     if isinstance(state, PureState):
         if state.n != 3:
             raise DimensionMismatch(f"classify3 needs a 3-qubit state, got n={state.n}")
-        amps = state.amps
+        amps = state.values
     else:
         amps = _as_amp8(state)
     if exact:
         from . import exact as _exact
 
         return classify3_exact_amps(_exact.lift(amps))
-    return classify3_batch(amps.reshape(1, 8), eps)[0]
+    return classify3_batch([amps], eps)[0]

@@ -11,7 +11,7 @@ from slocc4.cli import main, run_fuzz_empty
 from slocc4.errors import Slocc4Error
 from slocc4.qstate import PureState, save_state, state_to_json
 
-from conftest import FAMILY_TAGS
+from conftest import FAMILY_TAGS, W3
 
 
 def run_cli(capsys, *argv):
@@ -158,19 +158,34 @@ def test_classify_huge_json_integer(tmp_path, capsys):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # scipy serves only the test-only oracle; a float classify call also
-    # leaves out numpy.random, dataclasses, the exact-mode modules and the
-    # canonical families
-    path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
-    unused = ["scipy", "numpy.random", "dataclasses", "fractions", "slocc4.exact",
-              "slocc4.canonical"]
+    # scipy serves only the test-only oracle and numpy only .amps, generate,
+    # fuzz-empty, apply_slocc and rank decisions next to eps: importing the
+    # package and a float or exact classify or explain of a 2-, 3- or
+    # 4-qubit file load neither.  A float call also leaves out dataclasses
+    # and the exact-mode modules, and no call loads the canonical families
+    paths = [
+        write_state(tmp_path, [1, 0, 0, 1], "bell.json"),
+        write_state(tmp_path, W3, "w.json"),
+        write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps, "wghz_w.json"),
+    ]
+    unused = ["numpy", "scipy", "slocc4.canonical"]
+    float_unused = unused + ["dataclasses", "fractions", "slocc4.exact"]
     code = (
-        "import sys, slocc4\n"
+        "import sys\n"
+        "import slocc4\n"
+        "def unloaded(names):\n"
+        "    loaded = [name for name in names if name in sys.modules]\n"
+        "    assert not loaded, loaded\n"
+        f"unloaded({float_unused!r})\n"
         "from slocc4 import cli\n"
-        f"status = cli.main(['classify', {path!r}, '--distinguished', 'all'])\n"
-        "assert status == 0, status\n"
-        f"loaded = [name for name in {unused!r} if name in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        "for exact in ([], ['--exact']):\n"
+        f"    for path in {paths!r}:\n"
+        "        for command in ('classify', 'explain'):\n"
+        "            argv = [command, path, '--distinguished', 'all', *exact]\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        f"            unloaded({unused!r} if exact else {float_unused!r})\n"
+        "assert cli.main(['generate', '--family', 'W']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -101,11 +101,11 @@ def test_exact_forms_equal_float_forms_on_small_integers():
     for _ in range(20):
         phi0, phi1 = rng.integers(-5, 6, (2, 8)) + 1j * rng.integers(-5, 6, (2, 8))
         exact_q = quartic_exact(lift(phi0), lift(phi1))
-        assert [complex(float(z.re), float(z.im)) for z in exact_q] == quartic(phi0, phi1).c.tolist()
+        assert [complex(float(z.re), float(z.im)) for z in exact_q] == list(quartic(phi0, phi1).c)
         exact_forms = clause_quadratics_exact(lift(phi0), lift(phi1))
         forms = [f for pair in clause_quadratics(phi0, phi1) for f in pair]
         for exact_f, f in zip(exact_forms, forms):
-            assert [complex(float(z.re), float(z.im)) for z in exact_f] == f.c.tolist()
+            assert [complex(float(z.re), float(z.im)) for z in exact_f] == list(f.c)
 
 
 def test_resultant_exact():

@@ -15,6 +15,7 @@ from slocc4 import (
     apply_slocc,
     bipartition_ranks,
     classify4,
+    classify4_all,
     decompose,
     load_state,
     permute_qubits,
@@ -375,3 +376,19 @@ def test_rank_screen_reads_no_pair_cut_at_a_separable_qubit(monkeypatch):
     ranks = bipartition_ranks(product)
     assert [ranks[cut] for cut in ALL_CUTS] == [1, 2, 2, 2, 2, 2, 2]
     assert dict(ranks) == dict(zip(ALL_CUTS, [1, 2, 2, 2, 2, 2, 2]))
+
+
+def test_family_images_never_reach_the_svd(monkeypatch):
+    # one 2x2 minor proves every pair cut of these images rank 2 or more,
+    # so the rank screen of classify4_all never needs the SVD
+    rng = np.random.default_rng(4402)
+    images = [(tag, apply_slocc(make_canonical(FamilySpec(tag)), random_slocc(4, 1e3, rng)))
+              for tag in FAMILY_TAGS for _ in range(20)]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for tag, state in images:
+        verdicts, _ = classify4_all(state)
+        assert verdicts[0].tag.value == tag
