@@ -1,151 +1,151 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-dyadic arithmetic.
 
-Every finite float is a dyadic rational, so any float amplitude vector
-lifts exactly to Gaussian rationals (pairs of :class:`fractions.Fraction`).
+Every finite float is m 2^e with an integer m, so any float amplitude
+vector lifts exactly to numbers (re + i im) 2^e with integers re, im and e.
 Exact mode performs all zero tests in this ring, where vanishing is decided
 without tolerances, by evaluating the float path's formulas from
-:mod:`slocc4.kernels` on these numbers.
+:mod:`slocc4.kernels` on these numbers.  The formulas use only ring
+operations and the divisions by 2 and 6 of ``kernels.quartic_coefficients``,
+which are exact there: the coefficients of the pencil quartic are integer
+polynomials in the amplitudes.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import kernels
+from .errors import InternalContradiction
 
-_ZERO = Fraction(0)
 
-
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """The complex number (re + i im) 2^e, with Python ints re, im and e.
 
-    re: Fraction
-    im: Fraction
+    Numbers compare by value: (2, 0, 0) equals (1, 0, 1)."""
+
+    __slots__ = ("re", "im", "e")
+
+    def __init__(self, re: int, im: int = 0, e: int = 0):
+        self.re = re
+        self.im = im
+        self.e = e
 
     @classmethod
     def from_complex(cls, z) -> "GaussianRational":
         z = complex(z)
-        return cls(Fraction(z.real), Fraction(z.imag))
+        (re, dre), (im, dim) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        d = max(dre, dim)  # the denominators are powers of two
+        return cls(re * (d // dre), im * (d // dim), 1 - d.bit_length())
 
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     def __add__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d = self.e - other.e
+        if d >= 0:
+            return GaussianRational((self.re << d) + other.re, (self.im << d) + other.im, other.e)
+        return GaussianRational(self.re + (other.re << -d), self.im + (other.im << -d), self.e)
 
     def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d = self.e - other.e
+        if d >= 0:
+            return GaussianRational((self.re << d) - other.re, (self.im << d) - other.im, other.e)
+        return GaussianRational(self.re - (other.re << -d), self.im - (other.im << -d), self.e)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # real scalars, such as the integer constants of the formulas
-            return GaussianRational(self.re * other, self.im * other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
+        if isinstance(other, int):
+            # the integer constants of the formulas
+            return GaussianRational(self.re * other, self.im * other, self.e)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
+            self.e + other.e,
         )
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        d = other.abs2()
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / d, num.im / d)
+    def __truediv__(self, k: int):
+        """Division by a nonzero int, which must leave a Gaussian dyadic."""
+        shift = (k & -k).bit_length() - 1
+        odd = k >> shift
+        if self.re % odd or self.im % odd:
+            raise InternalContradiction(f"{self!r} / {k} is not a Gaussian dyadic number")
+        return GaussianRational(self.re // odd, self.im // odd, self.e - shift)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.re, -self.im, self.e)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return (self - other).is_zero
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.re or self.im)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        """The nearest complex number, each part rounded correctly."""
+        if self.e >= 0:
+            return complex(float(self.re << self.e), float(self.im << self.e))
+        den = 1 << -self.e
+        return complex(self.re / den, self.im / den)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re}, {self.im}, {self.e})"
 
 
-GR_ONE = GaussianRational(Fraction(1), _ZERO)
+GR_ONE = GaussianRational(1)
 
 
 def lift(amps) -> tuple:
-    """Exact dyadic-rational lift of a float amplitude vector."""
-    return tuple(GaussianRational.from_complex(z) for z in amps)
+    """Exact dyadic lift of a float amplitude vector."""
+    return tuple(map(GaussianRational.from_complex, amps))
 
 
-def snap_complex(z, max_den: int = 10**12) -> GaussianRational:
-    """Nearest simple Gaussian rational to a float complex number.
+def snap_complex(z, max_den: int = 10**12) -> tuple:
+    """Homogeneous coordinates (num : den) of the nearest simple Gaussian
+    rational to a float complex number: a Gaussian integer and a positive
+    integer.  Used to recover exact root coordinates from floating-point
+    root finding; callers must verify the snapped value exactly."""
+    from fractions import Fraction
 
-    Used to recover exact root coordinates from floating-point root finding;
-    callers must verify the snapped value exactly before trusting it.
-    """
     z = complex(z)
-    return GaussianRational(
-        Fraction(z.real).limit_denominator(max_den),
-        Fraction(z.imag).limit_denominator(max_den),
-    )
-
-
-def _at_nodes(formula, phi0, phi1, nodes) -> list:
-    """``formula`` of the pencil element ``x phi0 + y phi1`` at each node."""
-    return [formula(*(x * p + y * q for p, q in zip(phi0, phi1))) for x, y in nodes]
+    re = Fraction(z.real).limit_denominator(max_den)
+    im = Fraction(z.imag).limit_denominator(max_den)
+    return (GaussianRational(re.numerator * im.denominator, im.numerator * re.denominator),
+            GaussianRational(re.denominator * im.denominator))
 
 
 def quartic_exact(phi0, phi1) -> tuple:
     """Exact coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of the GHZ
     criterion on the pencil of two lifted vectors."""
-    return kernels.quartic_coefficients(*_at_nodes(kernels.ghz, phi0, phi1, kernels.NODES))
+    rows = kernels.pencil_elements(phi0, phi1, kernels.NODES)
+    return kernels.quartic_coefficients(*[kernels.ghz(*row) for row in rows])
 
 
 def clause_quadratics_exact(phi0, phi1) -> tuple:
     """Exact (alpha, beta, gamma) triples of the six clause quantities as
     quadratic forms alpha x^2 + beta xy + gamma y^2 on the pencil."""
-    values = _at_nodes(kernels.clauses, phi0, phi1, kernels.NODES[:3])
+    values = [kernels.clauses(*row) for row in kernels.pencil_elements(phi0, phi1, kernels.NODES[:3])]
     return tuple(kernels.quadratic_coefficients(*t) for t in zip(*values))
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix of Gaussian rationals by exact Gaussian elimination."""
+    """Rank of a matrix of Gaussian dyadic numbers by fraction-free
+    elimination: each row below the pivot row p becomes a r - b p, with a
+    the pivot and b the row's entry in the pivot column, which keeps the
+    rank and needs no division."""
     mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if not mat[r][col].is_zero:
-                pivot = r
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = GR_ONE / mat[row][col]
-        for r in range(row + 1, nrows):
-            if mat[r][col].is_zero:
-                continue
-            factor = mat[r][col] * inv
-            for c in range(col, ncols):
-                mat[r][c] = mat[r][c] - factor * mat[row][c]
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        a = top[col]
+        for r in range(rank + 1, len(mat)):
+            b = mat[r][col]
+            if b:
+                mat[r] = [a * x - b * y for x, y in zip(mat[r], top)]
         rank += 1
-        row += 1
-        if row == nrows:
+        if rank == len(mat):
             break
     return rank

@@ -9,8 +9,9 @@ sequence of rows (lists, tuples or a 2-D array) and return lists.
 The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
 ``quadratic_coefficients``, ``resultant``, ``clause_code``, ``hessian``,
 ``quartic_invariants``) use only ring operations, integer constants and
-division by integers, so the same functions also evaluate Gaussian
-rationals, which is how exact mode decides its identities.
+division by integers, so the same functions also evaluate the Gaussian
+dyadic numbers of :mod:`slocc4.exact`, which is how exact mode decides
+its identities.
 
 Verdict codes used by ``tri_codes_batch``:
 
@@ -41,17 +42,25 @@ CODE_AMBIGUOUS = 7
 #: degree-4 quantity of the classifier, and its rounding error, inside the
 #: normal float range, so there a rescaling by 2**k changes no decision.
 #: Entry points move states outside the window into it by an exact power
-#: of two (``pow2_scaled``).
+#: of two (``windowed``).
 SCALE_LO = 2.0**-200
 SCALE_HI = 2.0**200
 
 
-def pow2_scaled(a, scale) -> tuple:
-    """The complex numbers ``a`` times the power of two that brings
-    ``scale`` (their largest magnitude, nonzero) into [0.5, 1).  Exact,
-    except for entries pushed below the normal float range."""
-    e = -math.frexp(scale)[1]
-    return tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in a)
+def windowed(a) -> tuple:
+    """``(a, top)``: the complex numbers ``a`` and their largest magnitude
+    (0.0 for zeros), ``a`` first multiplied by the power of two that brings
+    top into [0.5, 1) when it lies outside [SCALE_LO, SCALE_HI].  A magnitude
+    beyond the float range takes that power from its larger part."""
+    try:
+        top = max(map(abs, a))
+    except OverflowError:
+        top = max(max(abs(z.real), abs(z.imag)) for z in a)
+    if top and not SCALE_LO <= top <= SCALE_HI:
+        e = -math.frexp(top)[1]
+        a = tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in a)
+        top = max(map(abs, a))
+    return a, top
 
 
 def ghz(a0, a1, a2, a3, a4, a5, a6, a7):
@@ -152,12 +161,9 @@ def clause_quantities_batch(a) -> list:
 
 def tri_code(row, eps):
     """Verdict code of one row of 8 numbers (see the table above)."""
-    scale = max(map(abs, row))
+    row, scale = windowed(row)
     if scale == 0.0:
         return CODE_ZERO
-    if not SCALE_LO <= scale <= SCALE_HI:
-        row = pow2_scaled(row, scale)
-        scale = max(map(abs, row))
     if abs(ghz(*row)) > eps * scale**4:
         return CODE_GHZ
     thresh2 = eps * scale * scale

@@ -149,20 +149,14 @@ def _check_inputs(phi0, phi1):
     When the larger magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``], both vectors are rescaled by the same exact
     power of two, which leaves every point of the pencil in place."""
-    p0 = _amps_of(phi0)
-    p1 = _amps_of(phi1)
+    both, top = kernels.windowed(_amps_of(phi0) + _amps_of(phi1))
+    p0, p1 = both[:8], both[8:]
     s0 = max(map(abs, p0))
-    s1 = max(map(abs, p1))
+    s1 = top if s0 < top else max(map(abs, p1))
     if s0 == 0.0:
         raise ZeroState("phi0 is the zero vector")
     if s1 == 0.0:
         raise ZeroState("phi1 is the zero vector")
-    top = max(s0, s1)
-    if not kernels.SCALE_LO <= top <= kernels.SCALE_HI:
-        p0 = kernels.pow2_scaled(p0, top)
-        p1 = kernels.pow2_scaled(p1, top)
-        s0 = max(map(abs, p0))
-        s1 = max(map(abs, p1))
     return p0, p1, s0, s1
 
 
@@ -604,15 +598,14 @@ class _ExactContext:
 
     def classify_point(self, pt: ProjectivePoint):
         """Snap a float projective point to Gaussian rationals and classify
-        the pencil element there exactly."""
-        _exact = self.exact
+        the pencil element there exactly: with (num : den) the snap of x / y,
+        the element num p0 + den p1, or with that of y / x, den p0 + num p1."""
         if abs(pt.y) >= abs(pt.x):
-            x = _exact.snap_complex(pt.x / pt.y)
-            y = _exact.GR_ONE
+            p, q, z = self.p0, self.p1, pt.x / pt.y
         else:
-            x = _exact.GR_ONE
-            y = _exact.snap_complex(pt.y / pt.x)
-        return classify3_exact_amps(tuple(x * p + y * q for p, q in zip(self.p0, self.p1)))
+            p, q, z = self.p1, self.p0, pt.y / pt.x
+        num, den = self.exact.snap_complex(z)
+        return classify3_exact_amps(tuple(num * a + den * b for a, b in zip(p, q)))
 
 
 def _classify_points(p0, p1, points, eps):

@@ -20,7 +20,7 @@ from .errors import (
     StateFormatError,
     ZeroState,
 )
-from .kernels import SCALE_HI, SCALE_LO, pow2_scaled
+from .kernels import SCALE_HI, SCALE_LO, windowed
 
 DEFAULT_EPS = 1e-9
 
@@ -337,15 +337,15 @@ _NORM2_HI = SCALE_HI**2
 
 def _windowed(state: PureState, what: str):
     """``(state, ||amps||^2)``, with the state rescaled by an exact power of
-    two when its squared norm lies outside the window."""
+    two when its largest magnitude lies outside the window, which only a
+    squared norm outside [_NORM2_LO, _NORM2_HI] allows."""
     t = _norm2(state.values)
     if _NORM2_LO <= t <= _NORM2_HI:
         return state, t
-    top = state.max_abs()
+    values, top = windowed(state.values)
     if top == 0.0:
         raise ZeroState(f"cannot {what} the zero state")
-    state = PureState._wrap(pow2_scaled(state.values, top), state.n)
-    return state, _norm2(state.values)
+    return PureState._wrap(values, state.n), _norm2(values)
 
 
 class CutRanks(Mapping):

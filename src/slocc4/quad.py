@@ -25,10 +25,10 @@ from .pencil import SpanProfile, analyze_span
 # span_dimension is not called here (analyze_span makes the same test), but
 # perfbench/spans.py wraps it under this module's name
 from .qstate import (  # noqa: F401
+    _CUT_INDEX,
     DEFAULT_EPS,
     PureState,
     bipartition_ranks,
-    cut_matrix,
     decompose,
     span_dimension,
 )
@@ -89,12 +89,6 @@ class QuadClass(NamedTuple):
         return out
 
 
-def _exact_cut_rank(state: PureState, cut) -> int:
-    from . import exact as _exact
-
-    return _exact.exact_rank([_exact.lift(row) for row in cut_matrix(state, cut)])
-
-
 def _degenerate_screen(state: PureState, eps: float, exact: bool):
     """Reduced-rank factorization screen.
 
@@ -107,14 +101,23 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
     """
     ranks = bipartition_ranks(state, eps)
     state = ranks.state
+    if exact:
+        from . import exact as _exact
+
+        lifted = _exact.lift(state.values)
+
+    def separable(cut) -> bool:
+        return ranks.separable(cut) or exact and _exact.exact_rank(
+            [[lifted[i] for i in row] for row in _CUT_INDEX[cut]]) == 1
+
     for k in (1, 2, 3, 4):
-        if ranks.separable((k,)) or exact and _exact_cut_rank(state, (k,)) == 1:
+        if separable((k,)):
             d = decompose(state, k)
             rest = d.phi0 if d.phi0.max_abs() >= d.phi1.max_abs() else d.phi1
             rest_class = classify3(rest, eps, exact=exact)
             return f"qubit {k} separable; remainder {rest_class}", state
     for cut in ((1, 2), (1, 3), (1, 4)):
-        if ranks.separable(cut) or exact and _exact_cut_rank(state, cut) == 1:
+        if separable(cut):
             other = tuple(sorted(set((1, 2, 3, 4)) - set(cut)))
             return f"pair {cut} separable from {other}", state
     return None, state

@@ -91,11 +91,7 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
     the report holds the values of the rescaled state.  In exact mode the
     values come from the exact lift and a clause is true when one of its
     quantities is not exactly zero."""
-    arr = _as_amp8(a)
-    scale = max(map(abs, arr))
-    if scale and not kernels.SCALE_LO <= scale <= kernels.SCALE_HI:
-        arr = kernels.pow2_scaled(arr, scale)
-        scale = max(map(abs, arr))
+    arr, scale = kernels.windowed(_as_amp8(a))
     if exact:
         from . import exact as _exact
 

@@ -161,15 +161,18 @@ def test_runtime_does_not_import_scipy(tmp_path):
     # scipy serves only the test-only oracle and numpy only .amps, generate,
     # fuzz-empty, apply_slocc and rank decisions next to eps: importing the
     # package and a float or exact classify or explain of a 2-, 3- or
-    # 4-qubit file load neither.  A float call also leaves out dataclasses
-    # and the exact-mode modules, and no call loads the canonical families
+    # 4-qubit file load neither, nor dataclasses.  A float call also leaves
+    # out the exact-mode modules, an exact call of a 2- or 3-qubit file
+    # fractions (which only snapping uses), and no call loads the canonical
+    # families
     paths = [
         write_state(tmp_path, [1, 0, 0, 1], "bell.json"),
         write_state(tmp_path, W3, "w.json"),
         write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps, "wghz_w.json"),
     ]
-    unused = ["numpy", "scipy", "slocc4.canonical"]
-    float_unused = unused + ["dataclasses", "fractions", "slocc4.exact"]
+    unused = ["numpy", "scipy", "slocc4.canonical", "dataclasses"]
+    float_unused = unused + ["fractions", "slocc4.exact"]
+    exact_unused = [unused + ["fractions"], unused + ["fractions"], unused]
     code = (
         "import sys\n"
         "import slocc4\n"
@@ -179,11 +182,11 @@ def test_runtime_does_not_import_scipy(tmp_path):
         f"unloaded({float_unused!r})\n"
         "from slocc4 import cli\n"
         "for exact in ([], ['--exact']):\n"
-        f"    for path in {paths!r}:\n"
+        f"    for path, exact_unused in zip({paths!r}, {exact_unused!r}):\n"
         "        for command in ('classify', 'explain'):\n"
         "            argv = [command, path, '--distinguished', 'all', *exact]\n"
         "            assert cli.main(argv) == 0, argv\n"
-        f"            unloaded({unused!r} if exact else {float_unused!r})\n"
+        f"            unloaded(exact_unused if exact else {float_unused!r})\n"
         "assert cli.main(['generate', '--family', 'W']) == 0\n"
         "assert 'numpy' in sys.modules\n"
     )

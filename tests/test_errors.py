@@ -1,0 +1,81 @@
+"""Every failure of a public entry point surfaces as a Slocc4Error.
+
+Inputs are finite but mix magnitudes from subnormal to the edge of the
+float range inside one state, including amplitudes whose magnitude
+overflows although both parts are finite (|1.5e308 + 1.5e308 i|).
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from slocc4 import (
+    PureState,
+    Slocc4Error,
+    analyze_span,
+    bipartition_ranks,
+    classify3,
+    classify4,
+    classify4_all,
+    clause_quadratics,
+    decompose,
+    ghz_invariant,
+    quartic,
+    quartic_roots,
+    span_dimension,
+    w_clauses,
+)
+from slocc4.cli import main
+
+_PARTS = st.one_of(
+    st.floats(-1.7e308, 1.7e308),
+    st.sampled_from((0.0, 1.0, -1.0, 1.5e308, -1.5e308, 1e-320)),
+)
+_STATES = st.lists(st.builds(complex, _PARTS, _PARTS), min_size=16, max_size=16)
+_OVERFLOWING = [complex(1.5e308, 1.5e308)] + [1.0 + 0j] * 15
+
+
+def _calls(amps):
+    p0, p1 = amps[:8], amps[8:]
+    yield lambda: classify3(p0)
+    yield lambda: classify3(p0, exact=True)
+    yield lambda: w_clauses(p0)
+    yield lambda: w_clauses(p0, exact=True)
+    yield lambda: ghz_invariant(p0)
+    yield lambda: classify4(amps)
+    yield lambda: classify4(amps, 2, exact=True)
+    yield lambda: classify4_all(amps)
+    yield lambda: dict(bipartition_ranks(PureState(amps)))
+    yield lambda: span_dimension(decompose(PureState(amps), 1))
+    yield lambda: analyze_span(p0, p1)
+    yield lambda: analyze_span(p0, p1, exact=True)
+    yield lambda: quartic(p0, p1).identically_zero()
+    yield lambda: quartic_roots(quartic(p0, p1))
+    yield lambda: [f.identically_zero() for pair in clause_quadratics(p0, p1) for f in pair]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(amps=_OVERFLOWING)
+@given(amps=_STATES)
+def test_entry_points_return_or_raise_slocc4_error(amps, tmp_path_factory):
+    for call in _calls(amps):
+        try:
+            call()
+        except Slocc4Error:
+            pass
+    directory = tmp_path_factory.mktemp("states")
+    for n in (3, 4):
+        path = directory / f"state{n}.json"
+        path.write_text(json.dumps({"n": n, "amps": [[z.real, z.imag] for z in amps[: 2**n]]}))
+        for argv in (["classify", str(path)], ["explain", str(path), "--exact"],
+                     ["classify", str(path), "--distinguished", "all", "--exact"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert err.getvalue().count("\n") == (code == 1), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert out.getvalue() == "" if code == 1 else json.loads(out.getvalue())

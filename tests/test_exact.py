@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slocc4 import PureState, TriClass, classify3, classify4, clause_quadratics, quartic
+from slocc4 import InternalContradiction, PureState, TriClass, classify3, classify4, clause_quadratics, quartic
 from slocc4.canonical import FAMILY_CUTS, FamilySpec, make_canonical, okpsi_w_phi0
 from slocc4.exact import (
     GR_ONE,
@@ -21,8 +21,14 @@ from slocc4.kernels import clauses, ghz, resultant
 from conftest import FAMILY_TAGS, GHZ3, W3
 
 
-def gr(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
+gr = GaussianRational
+
+
+def value(g):
+    """The value of a Gaussian dyadic number as a pair of Fractions: the
+    reference that the integer arithmetic is checked against."""
+    scale = Fraction(2) ** g.e
+    return (g.re * scale, g.im * scale)
 
 
 def test_gaussian_rational_arithmetic():
@@ -31,24 +37,53 @@ def test_gaussian_rational_arithmetic():
     assert a + b == gr(4, 1)
     assert a - b == gr(-2, 3)
     assert a * b == gr(5, 5)  # (1+2i)(3-i) = 3 - i + 6i + 2 = 5 + 5i
-    assert (a / b) * b == a
     assert -a == gr(-1, -2)
     assert 2 * a == gr(2, 4)
-    assert a.conjugate() == gr(1, -2)
-    assert a.abs2() == Fraction(5)
+    assert gr(1, 2, 1) == gr(4, 8, -1)  # by value, whatever the exponent
     assert not gr(0)
     assert GR_ONE
-    with pytest.raises(ZeroDivisionError):
-        a / gr(0)
+
+
+dyadics = st.builds(gr, st.integers(-2**70, 2**70), st.integers(-2**70, 2**70), st.integers(-1150, 80))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=dyadics, b=dyadics, k=st.integers(0, 8))
+def test_gaussian_dyadic_matches_fraction_reference(a, b, k):
+    (ar, ai), (br, bi) = value(a), value(b)
+    assert value(a + b) == (ar + br, ai + bi)
+    assert value(a - b) == (ar - br, ai - bi)
+    assert value(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
+    assert value(3 * a) == (3 * ar, 3 * ai)
+    assert value(-a) == (-ar, -ai)
+    assert (a == b) == ((ar, ai) == (br, bi))
+    assert a == gr(a.re << k, a.im << k, a.e - k)
+    assert bool(a) == ((ar, ai) != (0, 0))
+    # each part rounded correctly, subnormal results included
+    assert complex(a) == complex(float(ar), float(ai))
+    # the divisions of kernels.quartic_coefficients
+    assert value(a / 2) == (ar / 2, ai / 2)
+    assert value((6 * a) / 6) == (ar, ai)
+    if a.re % 3 or a.im % 3:
+        with pytest.raises(InternalContradiction):
+            a / 6
+    else:
+        assert value(a / 6) == (ar / 6, ai / 6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(z=st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_lift_round_trip(z):
+    # every finite float is a dyadic rational
+    g = GaussianRational.from_complex(z)
+    assert value(g) == (Fraction(z.real), Fraction(z.imag))
+    assert complex(g) == z
 
 
 def test_lift_is_exact_for_floats():
-    # every finite float is a dyadic rational
-    z = 0.1 + 0.3j
-    g = GaussianRational.from_complex(z)
-    assert complex(float(g.re), float(g.im)) == z
-    assert g.re == Fraction(0.1)  # exact binary value, not 1/10
-    assert g.re != Fraction(1, 10)
+    g = GaussianRational.from_complex(0.1 + 0.3j)
+    assert value(g)[0] == Fraction(0.1)  # exact binary value, not 1/10
+    assert value(g)[0] != Fraction(1, 10)
 
 
 def test_exact_invariant_on_ghz():
@@ -101,11 +136,11 @@ def test_exact_forms_equal_float_forms_on_small_integers():
     for _ in range(20):
         phi0, phi1 = rng.integers(-5, 6, (2, 8)) + 1j * rng.integers(-5, 6, (2, 8))
         exact_q = quartic_exact(lift(phi0), lift(phi1))
-        assert [complex(float(z.re), float(z.im)) for z in exact_q] == list(quartic(phi0, phi1).c)
+        assert list(map(complex, exact_q)) == list(quartic(phi0, phi1).c)
         exact_forms = clause_quadratics_exact(lift(phi0), lift(phi1))
         forms = [f for pair in clause_quadratics(phi0, phi1) for f in pair]
         for exact_f, f in zip(exact_forms, forms):
-            assert [complex(float(z.re), float(z.im)) for z in exact_f] == list(f.c)
+            assert list(map(complex, exact_f)) == list(f.c)
 
 
 def test_resultant_exact():
@@ -125,9 +160,10 @@ def test_exact_rank():
 
 
 def test_snap_complex():
-    g = snap_complex(complex(1 / 3, -0.25))
-    assert g.re == Fraction(1, 3)
-    assert g.im == Fraction(-1, 4)
+    # 1/3 - i/4 as (4 - 3i : 12)
+    num, den = snap_complex(complex(1 / 3, -0.25))
+    assert (num.re, num.im, num.e) == (4, -3, 0)
+    assert (den.re, den.im, den.e) == (12, 0, 0)
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)

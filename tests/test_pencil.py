@@ -21,7 +21,8 @@ from slocc4 import (
 )
 from slocc4.canonical import FamilySpec, canonical_pencil, okpsi_w_phi0, ww_phi0
 from slocc4 import pencil
-from slocc4.pencil import QuarticForm, cluster_points, common_roots
+from slocc4.exact import lift
+from slocc4.pencil import QuadraticForm, QuarticForm, cluster_points, common_roots
 from slocc4.qstate import DEFAULT_EPS, PureState
 
 from conftest import GHZ3, W3, iva1_phi0
@@ -419,6 +420,16 @@ class TestCommonRoots:
         pts = common_roots(pairs[1][0], pairs[1][1])
         assert len(pts) == 1
         assert pts[0].chordal(ProjectivePoint(1, 0)) <= 1e-12
+
+    # f = (x - y)(x + 2y), g = (x - y)(3x + y) have larger x^2 coefficients;
+    # f = (x - y)(x + 3y), g = (x - y)(x + 5y) larger y^2 coefficients
+    @pytest.mark.parametrize("exact", (False, True), ids=("float", "exact"))
+    @pytest.mark.parametrize("f, g", (((1, 1, -2), (3, -2, -1)), ((1, 2, -3), (1, 4, -5))),
+                             ids=("x2-chart", "y2-chart"))
+    def test_single_shared_root(self, f, g, exact):
+        forms = [QuadraticForm(c, 1.0, lift(c) if exact else None)
+                 for c in (tuple(map(complex, f)), tuple(map(complex, g)))]
+        assert common_roots(*forms) == [ProjectivePoint(1, 1)]
 
     def test_both_zero_raises(self):
         pairs = clause_quadratics(np.eye(8)[0], np.eye(8)[7])
