@@ -41,7 +41,9 @@ class DegeneratePencil(Slocc4Error):
 
 
 class GenericTypeUnstable(Slocc4Error):
-    """Two independent generic probes of a pencil disagreed."""
+    """The generic type of a pencil whose quartic vanishes within eps is
+    undecided: the two generic probes disagree or one is ambiguous, or both
+    read GHZ, the type of a pencil whose quartic does not vanish."""
 
 
 class InternalContradiction(Slocc4Error):

@@ -99,16 +99,17 @@ def lift(amps) -> tuple:
     return tuple(map(GaussianRational.from_complex, amps))
 
 
-def snap_complex(z, max_den: int = 10**12) -> tuple:
-    """Homogeneous coordinates (num : den) of the nearest simple Gaussian
-    rational to a float complex number: a Gaussian integer and a positive
-    integer.  Used to recover exact root coordinates from floating-point
-    root finding; callers must verify the snapped value exactly."""
+def snap_complex(z) -> tuple:
+    """Homogeneous coordinates (num : den) of the nearest Gaussian rational
+    with denominators at most 10^12 to a float complex number: a Gaussian
+    integer and a positive integer.  Used to recover exact root coordinates
+    from floating-point root finding; callers must verify the snapped value
+    exactly."""
     from fractions import Fraction
 
     z = complex(z)
-    re = Fraction(z.real).limit_denominator(max_den)
-    im = Fraction(z.imag).limit_denominator(max_den)
+    re = Fraction(z.real).limit_denominator(10**12)
+    im = Fraction(z.imag).limit_denominator(10**12)
     return (GaussianRational(re.numerator * im.denominator, im.numerator * re.denominator),
             GaussianRational(re.denominator * im.denominator))
 
@@ -127,25 +128,12 @@ def clause_quadratics_exact(phi0, phi1) -> tuple:
     return tuple(kernels.quadratic_coefficients(*t) for t in zip(*values))
 
 
-def exact_rank(rows) -> int:
-    """Rank of a matrix of Gaussian dyadic numbers by fraction-free
-    elimination: each row below the pivot row p becomes a r - b p, with a
-    the pivot and b the row's entry in the pivot column, which keeps the
-    rank and needs no division."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        a = top[col]
-        for r in range(rank + 1, len(mat)):
-            b = mat[r][col]
-            if b:
-                mat[r] = [a * x - b * y for x, y in zip(mat[r], top)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def exact_rank(values, minors) -> int:
+    """Rank, capped at 2, of a matrix of Gaussian dyadic numbers given by its
+    entries ``values`` and the factor indices (i, j, k, l) of its 2x2
+    minors values[i] values[j] - values[k] values[l]: 2 at the first minor
+    that does not vanish, else 1 when some entry is nonzero, else 0."""
+    for i, j, k, l in minors:
+        if values[i] * values[j] - values[k] * values[l]:
+            return 2
+    return 1 if any(values) else 0

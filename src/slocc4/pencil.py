@@ -19,7 +19,6 @@ from .errors import (
     DegeneratePencil,
     GenericTypeUnstable,
     IdenticallyZero,
-    InternalContradiction,
     ZeroState,
 )
 from .qstate import DEFAULT_EPS, PureState, _herm2_eigs, complex_values
@@ -538,9 +537,8 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
-    """Roots of a quadratic form, clustered with radius ``sqrt(eps)``."""
-    if f.identically_zero(eps):
-        return []
+    """Roots of a quadratic form that does not vanish identically, clustered
+    with radius ``sqrt(eps)``."""
     roots = _raw_projective_roots(list(f.c), eps)
     return cluster_points([ProjectivePoint(x, y) for x, y in roots], math.sqrt(eps))
 
@@ -663,35 +661,27 @@ def analyze_span(
 
 
 def _classify_candidate(pt, cls_float, generic, ctx):
-    """Combine float and exact classification of a candidate point.
+    """The class to record for a candidate point: the exact class at the
+    snapped point when it differs from ``generic``, else the float class.
 
     Exact arithmetic may sharpen a verdict (certify the point as
     exceptional) but never erases numerically detected structure: when the
-    exact class at the snapped point is just the generic one — as happens
-    when the input carries float noise that pushes it off the exact
-    variety — the float verdict stands.  Returns the class to record, or
-    None when the point is not exceptional.
+    exact class at the snapped point is just the generic one, as happens
+    for an irrational point or when float noise pushes the input off the
+    exact variety, the float verdict stands.
     """
     if ctx is not None:
         cls_exact = ctx.classify_point(pt)
         if cls_exact != generic:
             return cls_exact
-    if cls_float != generic:
-        return cls_float
-    return None
+    return cls_float
 
 
 def _profile_ghz_generic(p0, p1, roots, eps, ctx):
     """Profile of a pencil with a nonzero quartic, from its roots in the
     coordinates of the pencil of p0 and p1."""
-    exceptional = list(zip(roots, _classify_points(p0, p1, roots, eps)))
-    if ctx is not None:
-        # trust the snapped exact class only when the snap landed on the
-        # non-GHZ set; irrational roots keep their float classification
-        for k, (pt, cls) in enumerate(exceptional):
-            cls_exact = ctx.classify_point(pt)
-            if cls_exact != TriClass.GHZ:
-                exceptional[k] = (pt, cls_exact)
+    exceptional = [(pt, _classify_candidate(pt, cls, TriClass.GHZ, ctx))
+                   for pt, cls in zip(roots, _classify_points(p0, p1, roots, eps))]
     return _build_profile(False, TriClass.GHZ, exceptional)
 
 
@@ -715,9 +705,8 @@ def _probe_generic_type(p0, p1, eps):
             f"generic probes disagree: {types[0]} vs {types[1]}"
         )
     if types[0] == TriClass.GHZ:
-        raise InternalContradiction(
-            "quartic vanishes identically but a generic element is GHZ"
-        )
+        # the quartic vanishes within eps only, and the probes read it as nonzero
+        raise GenericTypeUnstable("quartic vanishes within eps but the generic probes are GHZ")
     return types[0]
 
 
@@ -757,7 +746,7 @@ def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
     for pt, cls in zip(centroids, classes):
         mapped = ProjectivePoint(pt.x / s0, pt.y / s1)  # back to the basis phi0, phi1
         recorded = _classify_candidate(mapped, cls, generic, ctx)
-        if recorded is not None:
+        if recorded != generic:
             exceptional.append((mapped, recorded))
     return _build_profile(True, generic, exceptional)
 

@@ -25,7 +25,8 @@ from .pencil import SpanProfile, analyze_span
 # span_dimension is not called here (analyze_span makes the same test), but
 # perfbench/spans.py wraps it under this module's name
 from .qstate import (  # noqa: F401
-    _CUT_INDEX,
+    _MINOR_FACTORS,
+    BIPARTITIONS,
     DEFAULT_EPS,
     PureState,
     bipartition_ranks,
@@ -96,8 +97,10 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
     qubit or qubit pair factors out, else None, and the state rescaled into
     the window.  The numeric screen always runs (a state within float noise
     of a factorized one must not reach the pencil stage); exact mode
-    additionally certifies exact rank deficiencies.  The screen asks of each
-    cut only whether its rank is 1, and only when it needs it.
+    additionally certifies exact rank deficiencies: a cut has rank 1 when
+    every 2x2 minor of the float screen's table vanishes exactly.  The
+    screen asks of each cut only whether its rank is 1, and only when it
+    needs it.
     """
     ranks = bipartition_ranks(state, eps)
     state = ranks.state
@@ -108,7 +111,7 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
 
     def separable(cut) -> bool:
         return ranks.separable(cut) or exact and _exact.exact_rank(
-            [[lifted[i] for i in row] for row in _CUT_INDEX[cut]]) == 1
+            lifted, _MINOR_FACTORS[BIPARTITIONS.index(cut)]) == 1
 
     for k in (1, 2, 3, 4):
         if separable((k,)):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slocc4 import InternalContradiction, PureState, TriClass, classify3, classify4, clause_quadratics, quartic
+from slocc4 import (
+    InternalContradiction,
+    PureState,
+    Slocc4Error,
+    TriClass,
+    classify3,
+    classify4,
+    clause_quadratics,
+    quartic,
+)
 from slocc4.canonical import FAMILY_CUTS, FamilySpec, make_canonical, okpsi_w_phi0
 from slocc4.exact import (
     GR_ONE,
@@ -17,6 +26,7 @@ from slocc4.exact import (
     snap_complex,
 )
 from slocc4.kernels import clauses, ghz, resultant
+from slocc4.qstate import _cut_minors
 
 from conftest import FAMILY_TAGS, GHZ3, W3
 
@@ -151,12 +161,26 @@ def test_resultant_exact():
     assert resultant(f, f).is_zero
 
 
+def _rank(rows):
+    """exact_rank of a matrix given as a list of rows."""
+    width = len(rows[0])
+    index = tuple(tuple(range(r * width, (r + 1) * width)) for r in range(len(rows)))
+    return exact_rank([x for row in rows for x in row], _cut_minors(index))
+
+
 def test_exact_rank():
-    rows = [[gr(1), gr(2)], [gr(2), gr(4)]]
-    assert exact_rank(rows) == 1
-    rows = [[gr(1), gr(0)], [gr(0, 1), gr(1)]]
-    assert exact_rank(rows) == 2
-    assert exact_rank([[gr(0), gr(0)]]) == 0
+    assert _rank([[gr(1), gr(2)], [gr(2), gr(4)]]) == 1
+    assert _rank([[gr(1), gr(0)], [gr(0, 1), gr(1)]]) == 2
+    assert _rank([[gr(0), gr(0)]]) == 0
+    # rank 3, capped at 2: the last row is the sum of the first two
+    top = [[gr(1, 2), gr(3), gr(0), gr(-1, 1, -4)],
+           [gr(2), gr(0, 1), gr(5, 0, 3), gr(1)],
+           [gr(0), gr(7), gr(1, 1), gr(3, -2)]]
+    assert _rank(top + [[a + b for a, b in zip(top[0], top[1])]]) == 2
+    # a 2x8 outer product of Gaussian dyadics has rank 1
+    u = [gr(3, 1, -2), gr(-1, 5)]
+    v = [gr(k, 2 - k, k - 4) for k in range(8)]
+    assert _rank([[a * b for b in v] for a in u]) == 1
 
 
 def test_snap_complex():
@@ -204,6 +228,40 @@ def test_degenerate_screen_exact_on_rounded_product():
     exact = classify4(img, exact=True)
     assert numeric.is_degenerate and exact.is_degenerate
     assert "qubit 1 separable" in exact.detail
+
+
+def _dyadic(rng, size):
+    """Integers in [0, 2^20) times 2^-20: exact floats whose products of
+    two are exact too, but whose 2x2 minors round."""
+    return rng.integers(0, 2**20, size) * 2.0**-20
+
+
+def test_exact_screen_certifies_pair_products():
+    # at eps = 1e-17 the float screen cannot see a rank of 1 through the
+    # rounding of the minors, and float classify4 returns another result on
+    # 49 of these 50 products; the exact minors all vanish
+    rng = np.random.default_rng(3)
+    floats = []
+    for _ in range(50):
+        state = np.kron(_dyadic(rng, 4), _dyadic(rng, 4))
+        verdict = classify4(state, eps=1e-17, exact=True)
+        assert (verdict.tag.value, verdict.detail) == ("Degenerate", "pair (1, 2) separable from (3, 4)")
+        try:
+            floats.append(classify4(state, eps=1e-17).is_degenerate)
+        except Slocc4Error:
+            floats.append(False)
+    assert floats.count(False) == 49
+
+
+def test_exact_screen_certifies_single_qubit_products():
+    # qubit 3 of a complex 2 x 8 product in Gaussian dyadics
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        a = _dyadic(rng, 2) + 1j * _dyadic(rng, 2)
+        b = _dyadic(rng, 8) + 1j * _dyadic(rng, 8)
+        state = np.moveaxis(np.multiply.outer(a, b.reshape(2, 2, 2)), 0, 2).reshape(16)
+        verdict = classify4(state, eps=1e-17, exact=True)
+        assert (verdict.tag.value, verdict.detail) == ("Degenerate", "qubit 3 separable; remainder GHZ")
 
 
 # Gaussian-integer SLOCC images on which fixed rational probe points of the

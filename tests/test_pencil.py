@@ -7,6 +7,7 @@ import pytest
 from slocc4 import (
     AmbiguousClassification,
     DegeneratePencil,
+    GenericTypeUnstable,
     IdenticallyZero,
     ProjectivePoint,
     TriClass,
@@ -245,6 +246,12 @@ class TestQuarticRootsReference:
         c = form_with_roots(spread(0.6j, 1.3e-5, 2) + [(-0.8, 1), (1.3 + 0.4j, 1)])
         with pytest.raises(AmbiguousClassification):
             quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
+
+    def test_two_leading_coefficients_within_eps_raise(self):
+        # simple roots, two of them at infinity under eps = 0.1: the
+        # multiplicity pattern and the roots contradict each other
+        with pytest.raises(AmbiguousClassification, match="two leading coefficients"):
+            quartic_roots(QuarticForm((0.05, 0.05, 1, 0.3, 0.7), 1.0), eps=0.1)
 
     def test_thresholds_follow_amplitude_scale(self):
         # the same quartic from vectors 2^10 larger has 2^40 larger
@@ -495,6 +502,29 @@ class TestAnalyzeSpan:
             assert profile.ghz_generic
             non_ghz = [cls for _, cls in profile.exceptional if cls != TriClass.GHZ]
             assert non_ghz, "pencil with a GHZ basis vector must contain non-GHZ states"
+
+    def test_quartic_within_eps_with_ghz_probes_is_unstable(self):
+        # |0>(|00> + |11>) and |1>(|00> + |11>), each moved by about 4e-3:
+        # the quartic vanishes within eps = 3.9e-4, but both generic probes
+        # read GHZ, so the generic type is undecided
+        phi0 = [
+            1.000389183241498 + 0.002657345377566779j, 0.003126182168758051 + 0.004185366560473566j,
+            -0.002765183727840217 + 0.0009674585279937396j, 1.0007431082606209 + 0.00038436296376647013j,
+            0.0034674198489940905 - 0.002181955614310024j, 0.001767143566506238 + 0.0014720078456043769j,
+            0.0026610847963248144 - 0.004600448880992956j, 0.00030260759248520807 - 0.0013707626870902336j,
+        ]
+        phi1 = [
+            -0.0036005790443110826 + 0.005435875056120184j, -0.0007304803485180546 - 0.008779371864986113j,
+            0.007651424305760347 - 0.004518789482295686j, 0.00038387737269616237 - 0.0012351215312137794j,
+            1.0018116488038222 + 0.004569924084806999j, -0.0015082063357316794 + 0.0020572939058119905j,
+            -0.0003245939894374634 + 0.00041820077552359134j, 1.0021234303843232 + 0.0021331693910632827j,
+        ]
+        eps = 0.00039111606777334553
+        assert quartic(phi0, phi1).identically_zero(eps)
+        with pytest.raises(GenericTypeUnstable, match="generic probes are GHZ"):
+            analyze_span(phi0, phi1, eps)
+        with pytest.raises(GenericTypeUnstable, match="generic probes are GHZ"):
+            classify4(phi0 + phi1, 1, eps)
 
     def test_degenerate_pencil_rejected(self):
         with pytest.raises(DegeneratePencil):
