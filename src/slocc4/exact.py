@@ -69,9 +69,6 @@ class GaussianRational:
             raise InternalContradiction(f"{self!r} / {k} is not a Gaussian dyadic number")
         return GaussianRational(self.re // odd, self.im // odd, self.e - shift)
 
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im, self.e)
-
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented

@@ -47,11 +47,6 @@ class ProjectivePoint:
         self.y = y / phase
         self.multiplicity = int(multiplicity)
 
-    @property
-    def at_infinity(self) -> bool:
-        """True for (1 : 0), i.e. the pencil element phi0 itself."""
-        return self.y == 0.0
-
     def chordal(self, other: "ProjectivePoint") -> float:
         """Chordal distance |x1 y2 - x2 y1| between unit representatives."""
         return abs(self.x * other.y - self.y * other.x)

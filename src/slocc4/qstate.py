@@ -10,7 +10,6 @@ magnitude in the object at hand.
 import cmath
 import json
 import math
-from collections.abc import Mapping
 from itertools import combinations
 from typing import NamedTuple
 
@@ -263,58 +262,44 @@ _CUT_INDEX = {cut: _split_index(4, cut) for cut in BIPARTITIONS}
 
 def _cut_minors(m) -> tuple:
     """Factor indices (i, j, k, l) of the 2x2 minors z[i] z[j] - z[k] z[l]
-    of the index matrix ``m``, one per rows r < s and columns c < d.  For a
-    4x4 matrix the first twelve are the Laplace terms of its determinant
-    along columns (0, 1): the minors on those columns of the six row pairs,
-    signed, then those on columns (2, 3) of the complementary row pairs in
-    the same order, so that det is the sum of products of the k-th and
-    (k + 6)-th."""
-    minors = [(m[r][c], m[s][d], m[r][d], m[s][c])
-              for r, s in combinations(range(len(m)), 2) for c, d in combinations(range(len(m[0])), 2)]
-    if len(m) == 4:
-        laplace = [6 * p for p in range(6)] + [6 * (5 - p) + 5 for p in range(6)]
-        minors = [minors[k] for k in laplace + [k for k in range(36) if k not in laplace]]
-        for p in (1, 4):  # row pairs (0, 2) and (1, 3) take a minus sign
-            i, j, k, l = minors[p]
-            minors[p] = (k, l, i, j)
-    return tuple(minors)
+    of the index matrix ``m``, one per rows r < s and columns c < d."""
+    return tuple((m[r][c], m[s][d], m[r][d], m[s][c])
+                 for r, s in combinations(range(len(m)), 2)
+                 for c, d in combinations(range(len(m[0])), 2))
 
 
 #: The minors of each cut in ``BIPARTITIONS``: 28 for a single-qubit 2x8
 #: cut, 36 for a pair 4x4 cut.
 _MINOR_FACTORS = tuple(_cut_minors(_CUT_INDEX[cut]) for cut in BIPARTITIONS)
 
-# Ranks without an SVD.  A cut matrix M has singular values s1 >= s2 >= ..
-# and t = ||M||_F^2 = ||amps||^2, so s1^2 <= t, and by Cauchy-Binet
-# e2 = sum |2x2 minor|^2 = sum_{i<j} si^2 sj^2: that is s1^2 s2^2 for a 2x8
-# cut and at most 6 s1^2 s2^2 for a 4x4 one.  A single-qubit cut has rank
-# 2 when its closed form s2/s1 = sqrt(e2) / lmax, lmax the larger root of
-# l^2 - t l + e2, exceeds eps.  For a pair cut (4 x 4, s1^2 <= t <= 4 s1^2)
-#   s4/s1   >= |det M| / s1^4 >= |det M| / t^2,
-#   s2^2/s1^2 <= e2 / s1^4  <= 16 e2 / t^2.
+# Ranks without an SVD.  The screen asks of each cut only whether its rank
+# is 1 (s2 <= eps s1) or 2 or more, and answers 1 or 2.  A cut matrix M has
+# singular values s1 >= s2 >= .. and t = ||M||_F^2 = ||amps||^2, so
+# s1^2 <= t, and by Cauchy-Binet e2 = sum |2x2 minor|^2 = sum_{i<j} si^2 sj^2:
+# that is s1^2 s2^2 for a 2x8 cut and at most 6 s1^2 s2^2 for a 4x4 one.  A
+# single-qubit cut has rank 2 when its closed form s2/s1 = sqrt(e2) / lmax,
+# lmax the larger root of l^2 - t l + e2, exceeds eps.  For a pair cut
+# (4 x 4, s1^2 <= t <= 4 s1^2) s2^2/s1^2 <= e2 / s1^4 <= 16 e2 / t^2.
 # np.linalg.svd returns singular values off by at most p u s1 (backward
 # stability and Weyl; u = 2^-53, p a small polynomial in the size: at most
 # 4 measured on random and ill-conditioned 4x4 matrices against 40-digit
-# references), so its count of sv > eps sv[0] is 4 when s4/s1 > eps + 2 p u,
-# at least 2 when s2/s1 > eps + 2 p u and 1 when s2/s1 < eps - 2 p u, for
-# eps in (0, 1).
+# references), so sv[1] > eps sv[0] holds when s2/s1 > eps + 2 p u and fails
+# when s2/s1 < eps - 2 p u, for eps in (0, 1).
 # Rounding (first order in u): each minor is off by at most
-# (sqrt(5) + 1) u (|M_rc M_sd| + |M_rd M_sc|) <= 1.7 u t; summed over the
-# six Laplace products that bounds the error of det by 14 u perm|M| <=
-# 14 u t^2, and the error of 4 sqrt(e2) by 13 u t; t itself is off by at
-# most 32 u relative, |m|^2 = re^2 + im^2 by 2 u.  So, with
-# T = max(K eps, F),
-#   rank >= 2 when one minor has |m|^2 > c T^2 t^2 (c = 1 for a single-
-#             qubit cut, 6 for a pair cut): s2/s1 > T (1 - 35 u) - 1.7 u,
-#   rank 4    when |det| > T t^2: s4/s1 > T (1 - 64 u) - 14 u,
-#   rank 1    when eps > F and 16 e2 < (eps/K)^2 t^2: s2/s1 < (eps/K)(1 + 70 u) + 13 u,
-# and each implies LAPACK's count, and the first the closed form's verdict
-# (whose own rounding is a few tens of u relative), for every eps in
-# (0, 1) as soon as F (1 - 1/K - 64 u) >= (14 + 2 p) u.  K = 1e3 and
-# F = 1e-12 (~4500 u) hold it for p up to 2200; the factor K keeps the
-# decided ranks far from eps.  The minors of a cut are summed only when
-# none of them passes the first test; a pair cut that no test decides goes
-# to the SVD.
+# (sqrt(5) + 1) u (|M_rc M_sd| + |M_rd M_sc|) <= 1.7 u t, which bounds the
+# error of 4 sqrt(e2) by 13 u t; t itself is off by at most 32 u relative,
+# |m|^2 = re^2 + im^2 by 2 u.  So, with T = max(K eps, F),
+#   rank 2 when one minor has |m|^2 > c T^2 t^2 (c = 1 for a single-qubit
+#          cut, 6 for a pair cut): s2/s1 > T (1 - 35 u) - 1.7 u,
+#   rank 1 when eps > F and 16 e2 < (eps/K)^2 t^2: s2/s1 < (eps/K)(1 + 70 u) + 13 u,
+# and each implies the SVD's answer, and the first the closed form's (whose
+# own rounding is a few tens of u relative), for every eps in (0, 1) as
+# soon as F (1 - 1/K - 35 u) >= (13 + 2 p) u.  K = 1e3 and F = 1e-12
+# (~4500 u) hold it for p up to 2200; the factor K keeps the decided ranks
+# far from eps.  The minors of a cut are summed only when none of them
+# passes the first test; a pair cut that neither test decides goes to the
+# SVD.  Below eps = F the minors' rounding can no longer be told from a
+# rank of 2, so float ``classify4`` refuses such an eps.
 _RANK_K = 1e3
 _RANK_FLOOR = 1e-12
 
@@ -348,65 +333,25 @@ def _windowed(state: PureState, what: str):
     return PureState._wrap(values, state.n), _norm2(values)
 
 
-class CutRanks(Mapping):
-    """Read-only mapping from each of the seven ``BIPARTITIONS`` to its rank,
-    as :func:`bipartition_ranks` decides it.
+class CutRanks(dict):
+    """Each of the seven ``BIPARTITIONS`` mapped to its rank capped at 2, as
+    :func:`bipartition_ranks` decides it; ``state`` is the state that was
+    ranked, rescaled into the window."""
 
-    :meth:`separable` answers only whether a rank is 1, which the minor
-    tests settle for every cut but a pair cut next to ``eps``.  A pair cut
-    of rank 2 or more gets its exact rank, from its determinant or from
-    ``np.linalg.svd``, when it is first read.  ``state`` is the state that
-    was ranked, rescaled into the window."""
-
-    __slots__ = ("state", "_t", "_eps", "_ranks")
-
-    def __init__(self, state: PureState, t: float, eps: float, ranks: list):
-        self.state = state
-        self._t = t
-        self._eps = eps
-        # 0 for a pair cut of rank 2 or more, None for an open one
-        self._ranks = dict(zip(BIPARTITIONS, ranks))
-
-    def separable(self, cut) -> bool:
-        """Whether the cut's amplitude matrix has rank 1."""
-        return self._ranks[cut] == 1 or self._ranks[cut] is None and self[cut] == 1
-
-    def __getitem__(self, cut):
-        if not self._ranks[cut]:  # a pair cut: rank 4 from its determinant, else the SVD
-            z = self.state.values
-            laplace = [z[i] * z[j] - z[k] * z[l]
-                       for i, j, k, l in _MINOR_FACTORS[BIPARTITIONS.index(cut)][:12]]
-            det = abs(sum([a * b for a, b in zip(laplace[:6], laplace[6:])]))
-            if det > max(_RANK_K * self._eps, _RANK_FLOOR) * self._t * self._t:
-                self._ranks[cut] = 4
-            else:
-                import numpy as np
-
-                sv = np.linalg.svd(np.array(cut_matrix(self.state, cut)), compute_uv=False)
-                self._ranks[cut] = int((sv > self._eps * sv[0]).sum())
-        return self._ranks[cut]
-
-    def __iter__(self):
-        return iter(BIPARTITIONS)
-
-    def __len__(self):
-        return len(BIPARTITIONS)
-
-    def __repr__(self):
-        return f"CutRanks({dict(self)!r})"
+    __slots__ = ("state",)
 
 
 def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
-    """Numerical rank of the amplitude matrix along each of the 7 cuts.
+    """Rank of the amplitude matrix along each of the 7 cuts, capped at 2:
+    1 when sigma_2 <= eps sigma_1, else 2.
 
-    A cut whose 2x2 minors include one large enough has rank 2 or more (see
-    the bounds above).  Otherwise its squared minors are summed: a
-    single-qubit cut compares the closed-form sigma_min/sigma_max with
-    ``eps``, from the Gram determinant (that sum, so that exact rank
-    deficiency is resolved to ~1e-16 rather than sqrt(machine eps)) and
-    sigma_1^2 + sigma_2^2 = t, and a pair cut has rank 1 when the sum is
-    small enough.  A pair cut's exact rank comes from its determinant and
-    falls back to the SVD, when read, only where that is not conclusive.
+    A cut whose 2x2 minors include one large enough has rank 2 (see the
+    bounds above).  Otherwise its squared minors are summed: a single-qubit
+    cut compares the closed-form sigma_min/sigma_max with ``eps``, from the
+    Gram determinant (that sum, so that exact rank deficiency is resolved to
+    ~1e-16 rather than sqrt(machine eps)) and sigma_1^2 + sigma_2^2 = t, and
+    a pair cut has rank 1 when the sum is small enough.  A pair cut that
+    neither test decides goes to the SVD.
     """
     state, t = _windowed(state, "rank")
     if state.n != 4:
@@ -414,25 +359,31 @@ def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
     z = state.values
     big = (max(_RANK_K * eps, _RANK_FLOOR) * t) ** 2
     tol1 = (eps / _RANK_K) ** 2 * t * t if eps > _RANK_FLOOR else 0.0
-    ranks = []
-    for index, minors in enumerate(_MINOR_FACTORS):
-        single = index < 4
+    ranks = CutRanks()
+    ranks.state = state
+    for cut, minors in zip(BIPARTITIONS, _MINOR_FACTORS):
+        single = len(cut) == 1
         bound = big if single else 6.0 * big
         e2 = 0.0
         for i, j, k, l in minors:
             m = z[i] * z[j] - z[k] * z[l]
             m2 = m.real * m.real + m.imag * m.imag
             if m2 > bound:
-                ranks.append(2 if single else 0)
+                ranks[cut] = 2
                 break
             e2 += m2
         else:
             if single:
                 lmax = 0.5 * (t + max(t * t - 4.0 * e2, 0.0) ** 0.5)
-                ranks.append(2 if e2**0.5 / lmax > eps else 1)
+                ranks[cut] = 2 if e2**0.5 / lmax > eps else 1
+            elif 16.0 * e2 < tol1:
+                ranks[cut] = 1
             else:
-                ranks.append(1 if 16.0 * e2 < tol1 else None)
-    return CutRanks(state, t, eps, ranks)
+                import numpy as np
+
+                sv = np.linalg.svd(np.array(cut_matrix(state, cut)), compute_uv=False)
+                ranks[cut] = 2 if sv[1] > eps * sv[0] else 1
+    return ranks
 
 
 # ---------------------------------------------------------------------------

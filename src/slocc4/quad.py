@@ -20,12 +20,14 @@ stage and reported as Degenerate.
 import enum
 from typing import NamedTuple
 
-from .errors import AmbiguousClassification, DegeneratePencil, DimensionMismatch, InternalContradiction
+from .errors import (AmbiguousClassification, DegeneratePencil, DimensionMismatch,
+                     InternalContradiction, Slocc4Error)
 from .pencil import SpanProfile, analyze_span
 # span_dimension is not called here (analyze_span makes the same test), but
 # perfbench/spans.py wraps it under this module's name
 from .qstate import (  # noqa: F401
     _MINOR_FACTORS,
+    _RANK_FLOOR,
     BIPARTITIONS,
     DEFAULT_EPS,
     PureState,
@@ -99,8 +101,7 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
     of a factorized one must not reach the pencil stage); exact mode
     additionally certifies exact rank deficiencies: a cut has rank 1 when
     every 2x2 minor of the float screen's table vanishes exactly.  The
-    screen asks of each cut only whether its rank is 1, and only when it
-    needs it.
+    screen asks of each cut only whether its rank is 1.
     """
     ranks = bipartition_ranks(state, eps)
     state = ranks.state
@@ -110,7 +111,7 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
         lifted = _exact.lift(state.values)
 
     def separable(cut) -> bool:
-        return ranks.separable(cut) or exact and _exact.exact_rank(
+        return ranks[cut] == 1 or exact and _exact.exact_rank(
             lifted, _MINOR_FACTORS[BIPARTITIONS.index(cut)]) == 1
 
     for k in (1, 2, 3, 4):
@@ -186,6 +187,10 @@ def classify4(
         raise DimensionMismatch(f"classify4 needs a 4-qubit state, got n={state.n}")
     if not 1 <= distinguished <= 4:
         raise DimensionMismatch(f"distinguished qubit {distinguished} out of 1..4")
+    if not exact and eps < _RANK_FLOOR:
+        # the rounding of the rank screen's minors hides a rank of 1 there
+        raise Slocc4Error(f"float classify4 needs eps >= {_RANK_FLOOR:g} (the rank "
+                          f"screen's floor), got {eps:g}; exact mode takes any eps")
     detail, state = _degenerate_screen(state, eps, exact)
     if detail is not None:
         return QuadClass(

@@ -434,3 +434,13 @@ def test_eps_inside_unit_interval_is_accepted(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", path, "--eps=1e-6")
     assert code == 0
     assert json.loads(out)["class"] == "WGHZ_W"
+
+
+def test_float_classify_refuses_eps_below_the_rank_floor(tmp_path, capsys):
+    path = write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps)
+    code, out, err = run_cli(capsys, "classify", path, "--eps=1e-13")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "1e-12" in err
+    code, out, _ = run_cli(capsys, "classify", path, "--eps=1e-13", "--exact")
+    assert code == 0
+    assert json.loads(out)["class"] == "WGHZ_W"

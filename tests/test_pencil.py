@@ -50,10 +50,6 @@ class TestProjectivePoint:
         with pytest.raises(ValueError):
             ProjectivePoint(0, 0)
 
-    def test_at_infinity(self):
-        assert ProjectivePoint(5j, 0).at_infinity
-        assert not ProjectivePoint(1, 1e-3).at_infinity
-
 
 class TestQuartic:
     def test_ghz_pencil(self):

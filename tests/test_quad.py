@@ -10,6 +10,7 @@ from slocc4 import (
     InternalContradiction,
     PureState,
     QuadTag,
+    Slocc4Error,
     TriClass,
     ZeroState,
     apply_slocc,
@@ -17,7 +18,7 @@ from slocc4 import (
     classify4_all,
     permute_qubits,
 )
-from slocc4.canonical import FamilySpec, make_canonical, random_slocc
+from slocc4.canonical import FAMILY_CUTS, FamilySpec, make_canonical, random_slocc
 from slocc4.pencil import ProjectivePoint, SpanProfile
 from slocc4.quad import _decide
 
@@ -296,3 +297,19 @@ def test_near_separable_states_fail_as_borderline(d, distinguished):
             classify4(state, distinguished)
         except (AmbiguousClassification, GenericTypeUnstable):
             pass
+
+
+def test_float_mode_refuses_eps_below_the_rank_floor():
+    # below 1e-12 the rounding of the rank screen's minors hides a rank of
+    # 1, and float classify4 would misclassify such images silently
+    rng = np.random.default_rng(11)
+    for tag in FAMILY_TAGS:
+        base = make_canonical(FamilySpec(tag))
+        for _ in range(20):
+            img = apply_slocc(base, random_slocc(4, 1e3, rng))
+            verdict = classify4(img, eps=1e-12)
+            assert (verdict.tag.value, verdict.cuts) == (tag, FAMILY_CUTS.get(tag, ()))
+            with pytest.raises(Slocc4Error, match="1e-12"):
+                classify4(img, eps=1e-13)
+    with pytest.raises(Slocc4Error, match="1e-12"):
+        classify4_all(img, eps=1e-13)
