@@ -34,7 +34,6 @@ from .qstate import (
     decompose,
     load_state,
     permute_qubits,
-    recompose,
     save_state,
     span_dimension,
     state_from_json,
@@ -96,7 +95,6 @@ __all__ = [
     "quartic",
     "quartic_roots",
     "random_slocc",
-    "recompose",
     "save_state",
     "span_dimension",
     "state_from_json",

@@ -78,15 +78,12 @@ def _pencil_fixed(phi0, phi1):
 
 
 def _pencil_okpsi_w(params, sign):
-    lam = params.get("lambda", 0)
-    return okpsi_w_phi0(lam), np.array(W3, dtype=np.complex128)
+    return okpsi_w_phi0(params["lambda"]), np.array(W3, dtype=np.complex128)
 
 
 def _pencil_ww(params, sign):
-    mu = params.get("mu", 0)
-    a3 = params.get("a3", 1)
-    a5 = params.get("a5", 1)
-    return ww_phi0(mu, a3, a5, sign), np.array(W3, dtype=np.complex128)
+    return (ww_phi0(params["mu"], params["a3"], params["a5"], sign),
+            np.array(W3, dtype=np.complex128))
 
 
 #: Pencil builders (phi0, phi1) for the ten 4-qubit superclasses.
@@ -102,6 +99,10 @@ FAMILY_PENCILS = {
     "WGHZ_W": _pencil_fixed(GHZ3, W3),
     "WW_W": _pencil_ww,
 }
+
+#: Parameters of the two parameterized families, with their defaults; the
+#: other families, 3-qubit tags included, take none.
+FAMILY_PARAMS = {"W0kPsi_W": {"lambda": 0}, "WW_W": {"mu": 0, "a3": 1, "a5": 1}}
 
 #: Cut subscripts the fixed representatives are expected to carry.
 FAMILY_CUTS = {
@@ -120,22 +121,35 @@ class FamilySpec(NamedTuple):
     sign: int = 1
 
 
+def _family_params(spec: FamilySpec) -> dict:
+    """The spec's parameters over its family's defaults; raises
+    :class:`ConstraintViolation` for a name the family does not take."""
+    defaults = FAMILY_PARAMS.get(spec.family, {})
+    unknown = spec.params.keys() - defaults.keys()
+    if unknown:
+        raise ConstraintViolation(
+            f"family {spec.family} does not take parameters {sorted(unknown)}")
+    return {**defaults, **spec.params}
+
+
 def canonical_pencil(spec: FamilySpec):
     """The (phi0, phi1) pencil of a 4-qubit canonical family member."""
     try:
         builder = FAMILY_PENCILS[spec.family]
     except KeyError:
         raise Slocc4Error(f"unknown 4-qubit family {spec.family!r}") from None
-    return builder(spec.params, spec.sign)
+    return builder(_family_params(spec), spec.sign)
 
 
 def make_canonical(spec: FamilySpec) -> PureState:
     """Exact amplitude vector of a canonical family member.
 
     4-qubit families assemble |0> phi0 + |1> phi1 from their pencil;
-    3-qubit tags return the fixed representatives.
+    3-qubit tags return the fixed representatives.  A parameter name the
+    family does not take raises :class:`ConstraintViolation`.
     """
     if spec.family in TRI_STATES:
+        _family_params(spec)
         return PureState(np.array(TRI_STATES[spec.family], dtype=np.complex128))
     phi0, phi1 = canonical_pencil(spec)
     return _assemble(phi0, phi1)

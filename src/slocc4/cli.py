@@ -11,13 +11,14 @@ import json
 import os
 import sys
 
-from .errors import Slocc4Error
+from .errors import Slocc4Error, ZeroState
+from .kernels import windowed
 from .pencil import analyze_span, clause_quadratics, quartic
 from .qstate import (
     DEFAULT_EPS,
     PureState,
-    _windowed,
     apply_slocc,
+    check_eps,
     decompose,
     load_state,
     state_to_json,
@@ -40,14 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _eps(text: str) -> float:
-    """argparse type of --eps: a number strictly between 0 and 1."""
+    """argparse type of --eps: a number that ``qstate.check_eps`` accepts."""
     try:
-        value = float(text)
+        return check_eps(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-    if not 0.0 < value < 1.0:  # also rejects nan and inf
-        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text!r}")
-    return value
+    except Slocc4Error:
+        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text!r}") from None
 
 
 def _emit(obj) -> None:
@@ -66,9 +66,10 @@ def _pair(z: complex) -> list:
 
 def _classify2(state: PureState, eps: float, exact: bool):
     """Class and determinant of a 2-qubit state, rescaled by an exact power
-    of two when its norm lies outside the scale window."""
-    state, _ = _windowed(state, "classify")
-    a = state.values
+    of two when its largest magnitude lies outside the scale window."""
+    a, top = windowed(state.values)
+    if top == 0.0:
+        raise ZeroState("cannot classify the zero state")
     det = a[0] * a[3] - a[1] * a[2]
     if exact:
         from . import exact as _exact
@@ -76,11 +77,13 @@ def _classify2(state: PureState, eps: float, exact: bool):
         e = _exact.lift(a)
         entangled = not (e[0] * e[3] - e[1] * e[2]).is_zero
     else:
-        entangled = abs(det) > eps * state.max_abs() ** 2
+        entangled = abs(det) > eps * top * top
     return ("Psi" if entangled else "00"), det
 
 
-def _cmd_classify(args, explain: bool) -> int:
+def _cmd_classify(args) -> int:
+    """``classify`` and ``explain``: one JSON verdict, with the explanation
+    when ``args.explain`` is set; 4-qubit Degenerate verdicts get none."""
     state = load_state(sys.stdin if args.state == "-" else args.state)
     eps = args.eps
     if state.n == 1:
@@ -89,44 +92,33 @@ def _cmd_classify(args, explain: bool) -> int:
     if state.n == 2:
         cls, det = _classify2(state, eps, args.exact)
         out = {"n": 2, "class": cls}
-        if explain:
+        genuine = cls == "Psi"
+        if args.explain:
             out["determinant"] = _pair(det)
-        _emit(out)
-        return _EXIT_OK if cls == "Psi" else _EXIT_DEGENERATE
-
-    if state.n == 3:
+    elif state.n == 3:
         cls = classify3(state, eps, exact=args.exact)
         out = {"n": 3, "class": str(cls)}
-        if explain:
+        genuine = cls in (TriClass.GHZ, TriClass.W)
+        if args.explain:
             report = w_clauses(state.values, eps, exact=args.exact)
             out["ghz_value"] = _pair(report.ghz_value)
             out["clause_truth"] = list(report.clause_truth)
             out["quantities"] = [_pair(q) for q in report.quantities]
-        _emit(out)
-        genuine = cls in (TriClass.GHZ, TriClass.W)
-        return _EXIT_OK if genuine else _EXIT_DEGENERATE
-
-    if args.distinguished == "all":
-        verdicts, label = classify4_all(state, eps, exact=args.exact)
-        out = {
-            "n": 4,
-            "canonical_label": label,
-            "verdicts": [v.to_json() for v in verdicts],
-        }
-        if explain:
-            out["explain"] = [_explain_block(state, k, eps) for k in (1, 2, 3, 4)]
-        _emit(out)
-        degenerate = verdicts[0].is_degenerate
-        return _EXIT_DEGENERATE if degenerate else _EXIT_OK
-
-    k = int(args.distinguished)
-    verdict = classify4(state, k, eps, exact=args.exact)
-    out = {"n": 4}
-    out.update(verdict.to_json())
-    if explain and not verdict.is_degenerate:
-        out["explain"] = _explain_block(state, k, eps)
+    else:
+        all_qubits = args.distinguished == "all"
+        if all_qubits:
+            verdicts, label = classify4_all(state, eps, exact=args.exact)
+            out = {"n": 4, "canonical_label": label,
+                   "verdicts": [v.to_json() for v in verdicts]}
+        else:
+            verdicts = [classify4(state, int(args.distinguished), eps, exact=args.exact)]
+            out = {"n": 4, **verdicts[0].to_json()}
+        genuine = not verdicts[0].is_degenerate
+        if args.explain and genuine:
+            blocks = [_explain_block(state, v.distinguished, eps) for v in verdicts]
+            out["explain"] = blocks if all_qubits else blocks[0]
     _emit(out)
-    return _EXIT_DEGENERATE if verdict.is_degenerate else _EXIT_OK
+    return _EXIT_OK if genuine else _EXIT_DEGENERATE
 
 
 def _explain_block(state: PureState, distinguished: int, eps: float) -> dict:
@@ -161,7 +153,6 @@ def _parse_params(raw) -> dict:
     return params
 
 
-_FAMILY_PARAMS = {"W0kPsi_W": {"lambda"}, "WW_W": {"mu", "a3", "a5"}}
 #: Names ``generate --family`` accepts: the keys of ``canonical.FAMILY_PENCILS``
 #: (the ten superclass tags), then those of ``canonical.TRI_STATES``.  Written
 #: out here so that only ``generate`` and ``fuzz-empty`` load ``canonical``.
@@ -172,16 +163,9 @@ _FAMILIES = sorted(tag.value for tag in QuadTag if tag is not QuadTag.DEGENERATE
 def _cmd_generate(args) -> int:
     from .canonical import FamilySpec, make_canonical
 
-    params = _parse_params(args.param)
-    allowed = _FAMILY_PARAMS.get(args.family, set())
-    unknown = set(params) - allowed
-    if unknown:
-        raise Slocc4Error(
-            f"family {args.family} does not take parameters {sorted(unknown)}"
-        )
     spec = FamilySpec(
         family=args.family,
-        params=params,
+        params=_parse_params(args.param),
         sign=+1 if args.sign == "plus" else -1,
     )
     state = make_canonical(spec)
@@ -193,7 +177,6 @@ def run_fuzz_empty(
     trials: int,
     seed=None,
     eps: float = DEFAULT_EPS,
-    max_condition: float = 1e3,
     pin_ghz: bool = False,
     exact: bool = False,
     verbose: bool = False,
@@ -207,6 +190,8 @@ def run_fuzz_empty(
     """
     if trials < 1:
         raise Slocc4Error("--trials must be at least 1")
+    if seed is not None and seed < 0:
+        raise Slocc4Error("--seed must be nonnegative")
     import numpy as np
 
     from .canonical import random_slocc
@@ -218,8 +203,8 @@ def run_fuzz_empty(
     y4 = []
     y4_exact_ones = 0
     for _ in range(trials):
-        phi0 = apply_slocc(ghz, random_slocc(3, max_condition, rng))
-        phi1 = ghz if pin_ghz else apply_slocc(ghz, random_slocc(3, max_condition, rng))
+        phi0 = apply_slocc(ghz, random_slocc(3, seed=rng))
+        phi1 = ghz if pin_ghz else apply_slocc(ghz, random_slocc(3, seed=rng))
         profile = analyze_span(phi0, phi1, eps)
         trivial = profile.ghz_generic and all(
             cls == TriClass.GHZ for _, cls in profile.exceptional
@@ -267,26 +252,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="slocc4", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, state_arg=True):
-        if state_arg:
-            p.add_argument("state", nargs="?", default="-",
-                           help="state JSON file, or - for stdin (default)")
+    p_classify = sub.add_parser("classify", help="classify a 2-, 3- or 4-qubit state")
+    p_explain = sub.add_parser("explain", help="classify and dump the span profile")
+    for p in (p_classify, p_explain):
+        p.add_argument("state", nargs="?", default="-",
+                       help="state JSON file, or - for stdin (default)")
         p.add_argument("--eps", type=_eps, default=DEFAULT_EPS,
                        help="relative tolerance in (0, 1) (default 1e-9)")
         p.add_argument("--exact", action="store_true",
                        help="perform all zero tests in exact rational arithmetic")
-
-    p_classify = sub.add_parser("classify", help="classify a 2-, 3- or 4-qubit state")
-    add_common(p_classify)
-    p_classify.add_argument("--distinguished", choices=["1", "2", "3", "4", "all"],
-                            default="1", help="distinguished qubit for n=4 (default 1)")
+        p.add_argument("--distinguished", choices=["1", "2", "3", "4", "all"],
+                       default="1", help="distinguished qubit for n=4 (default 1)")
     p_classify.add_argument("--explain", action="store_true",
                             help="include the span-profile explanation blocks")
-
-    p_explain = sub.add_parser("explain", help="classify and dump the span profile")
-    add_common(p_explain)
-    p_explain.add_argument("--distinguished", choices=["1", "2", "3", "4", "all"],
-                           default="1")
+    p_explain.set_defaults(explain=True)
 
     p_gen = sub.add_parser("generate", help="write a canonical family member")
     p_gen.add_argument("--family", required=True,
@@ -315,10 +294,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args, explain=args.explain)
-        if args.command == "explain":
-            return _cmd_classify(args, explain=True)
+        if args.command in ("classify", "explain"):
+            return _cmd_classify(args)
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "fuzz-empty":

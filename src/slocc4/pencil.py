@@ -21,7 +21,7 @@ from .errors import (
     IdenticallyZero,
     ZeroState,
 )
-from .qstate import DEFAULT_EPS, PureState, _herm2_eigs, complex_values
+from .qstate import DEFAULT_EPS, PureState, _herm2_eigs, check_eps, complex_values
 from .tri import TriClass, _class_from_code, classify3_batch, classify3_exact_amps
 
 
@@ -634,6 +634,7 @@ def analyze_span(
     with irrational parameters rounded to floats), the profile falls back
     to numeric semantics instead of classifying the noise.
     """
+    check_eps(eps)
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
     lo, hi = _herm2_eigs(p0, p1)
     if lo <= eps * hi:

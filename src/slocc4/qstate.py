@@ -9,19 +9,27 @@ magnitude in the object at hand.
 
 import cmath
 import json
-import math
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
     SingularOperator,
+    Slocc4Error,
     StateFormatError,
     ZeroState,
 )
 from .kernels import SCALE_HI, SCALE_LO, windowed
 
 DEFAULT_EPS = 1e-9
+
+
+def check_eps(eps: float) -> float:
+    """``eps`` itself; raises :class:`Slocc4Error` unless it is a finite
+    number in (0, 1), the range of every relative tolerance."""
+    if not 0.0 < eps < 1.0:  # also rejects nan and inf
+        raise Slocc4Error(f"eps must be a finite number in (0, 1), got {eps!r}")
+    return eps
 
 #: Absolute floor below which a local operator counts as singular.
 DET_FLOOR = 1e-300
@@ -81,9 +89,6 @@ class PureState:
 
     def max_abs(self) -> float:
         return max(map(abs, self.values))
-
-    def norm(self) -> float:
-        return math.hypot(*(x for z in self.values for x in (z.real, z.imag)))
 
     def __repr__(self):
         return f"PureState(n={self.n}, amps={list(self.values)!r})"
@@ -207,14 +212,6 @@ def decompose(state: PureState, distinguished: int) -> Decomposition:
         phi1=PureState._wrap(tuple(map(at, row1)), state.n - 1),
         distinguished=distinguished,
     )
-
-
-def recompose(d: Decomposition) -> PureState:
-    """Inverse of :func:`decompose`; a pure index permutation, no arithmetic."""
-    n = d.phi0.n + 1
-    row0, row1 = _SPLIT_INDEX[n, d.distinguished]
-    placed = sorted(zip(row0 + row1, d.phi0.values + d.phi1.values))  # indices are distinct
-    return PureState._wrap(tuple(z for _, z in placed), n)
 
 
 def permute_qubits(state: PureState, perm) -> PureState:
@@ -353,6 +350,7 @@ def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
     a pair cut has rank 1 when the sum is small enough.  A pair cut that
     neither test decides goes to the SVD.
     """
+    check_eps(eps)
     state, t = _windowed(state, "rank")
     if state.n != 4:
         raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")

@@ -32,6 +32,7 @@ from .qstate import (  # noqa: F401
     DEFAULT_EPS,
     PureState,
     bipartition_ranks,
+    check_eps,
     decompose,
     span_dimension,
 )
@@ -187,6 +188,7 @@ def classify4(
         raise DimensionMismatch(f"classify4 needs a 4-qubit state, got n={state.n}")
     if not 1 <= distinguished <= 4:
         raise DimensionMismatch(f"distinguished qubit {distinguished} out of 1..4")
+    check_eps(eps)
     if not exact and eps < _RANK_FLOOR:
         # the rounding of the rank screen's minors hides a rank of 1 there
         raise Slocc4Error(f"float classify4 needs eps >= {_RANK_FLOOR:g} (the rank "

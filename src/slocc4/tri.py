@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .errors import AmbiguousClassification, DimensionMismatch
-from .qstate import DEFAULT_EPS, PureState, complex_values
+from .qstate import DEFAULT_EPS, PureState, check_eps, complex_values
 
 
 class TriClass(enum.Enum):
@@ -41,10 +41,6 @@ class TriClass(enum.Enum):
     BISEP3 = "Bisep(3)"
     W = "W"
     GHZ = "GHZ"
-
-    @classmethod
-    def bisep(cls, k: int) -> "TriClass":
-        return (cls.BISEP1, cls.BISEP2, cls.BISEP3)[k - 1]
 
     @property
     def cut(self):
@@ -91,6 +87,7 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
     the report holds the values of the rescaled state.  In exact mode the
     values come from the exact lift and a clause is true when one of its
     quantities is not exactly zero."""
+    check_eps(eps)
     arr, scale = kernels.windowed(_as_amp8(a))
     if exact:
         from . import exact as _exact
@@ -141,6 +138,7 @@ def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:
     true, which is algebraically impossible and signals a numerical
     borderline rather than being silently rounded to a class.
     """
+    check_eps(eps)
     if isinstance(state, PureState):
         if state.n != 3:
             raise DimensionMismatch(f"classify3 needs a 3-qubit state, got n={state.n}")

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from slocc4 import ConstraintViolation, TriClass, apply_slocc, classify3, classify4
 from slocc4.canonical import (
+    FAMILY_PENCILS,
     FamilySpec,
     TRI_STATES,
+    canonical_pencil,
     make_canonical,
     okpsi_w_phi0,
     random_slocc,
@@ -153,3 +157,14 @@ def test_ww_family_orbit_closure():
         for _ in range(50):
             img = apply_slocc(state, random_slocc(4, 1e3, rng))
             assert classify4(img).tag.value == "WW_W"
+
+
+@pytest.mark.parametrize("family", ["WW_W", "W0kPsi_W", "WGHZ_W", "GHZ"])
+def test_unknown_parameter_name_raises(family):
+    spec = FamilySpec(family, {"lamdba": 2})
+    message = re.escape(f"family {family} does not take parameters ['lamdba']")
+    with pytest.raises(ConstraintViolation, match=message):
+        make_canonical(spec)
+    if family in FAMILY_PENCILS:
+        with pytest.raises(ConstraintViolation, match=message):
+            canonical_pencil(spec)

@@ -261,6 +261,22 @@ def test_classify_all_distinguished_explain(tmp_path, capsys):
         assert [len(pair) for pair in block["clause_quadratics"]] == [2, 2, 2]
 
 
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("argv", [["explain", "--distinguished", "all"],
+                                  ["classify", "--distinguished", "all", "--explain"]])
+def test_degenerate_explain_all_has_no_blocks(first, argv, tmp_path, capsys):
+    # |first> x GHZ_3: one half of every qubit-1 split is the zero vector
+    amps = np.zeros(16)
+    amps[8 * first] = amps[8 * first + 7] = 1
+    path = write_state(tmp_path, amps)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, err) == (2, "")
+    assert out.count("\n") == 1
+    obj = json.loads(out)
+    assert "explain" not in obj
+    assert [v["class"] for v in obj["verdicts"]] == ["Degenerate"] * 4
+
+
 def test_classify_all_distinguished(tmp_path, capsys):
     amps = np.zeros(16)
     amps[0] = amps[15] = 1
@@ -382,6 +398,12 @@ def test_fuzz_empty_zero_trials(capsys):
     code, out, err = run_cli(capsys, "fuzz-empty", "--trials", "0")
     assert code == 1
     assert "trials" in err
+
+
+def test_fuzz_empty_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "fuzz-empty", "--trials", "1", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "slocc4: --seed must be nonnegative\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,7 +8,9 @@ overflows although both parts are finite (|1.5e308 + 1.5e308 i|).
 import contextlib
 import io
 import json
+import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,8 @@ from slocc4 import (
     w_clauses,
 )
 from slocc4.cli import main
+
+from conftest import GHZ3, W3
 
 _PARTS = st.one_of(
     st.floats(-1.7e308, 1.7e308),
@@ -79,3 +83,25 @@ def test_entry_points_return_or_raise_slocc4_error(amps, tmp_path_factory):
             assert err.getvalue().count("\n") == (code == 1), (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
             assert out.getvalue() == "" if code == 1 else json.loads(out.getvalue())
+
+
+_WGHZ_W = PureState(list(GHZ3) + list(W3))
+_EPS_CALLS = {
+    "classify3": lambda eps: classify3(GHZ3, eps),
+    "classify3 exact": lambda eps: classify3(GHZ3, eps, exact=True),
+    "w_clauses": lambda eps: w_clauses(GHZ3, eps),
+    "w_clauses exact": lambda eps: w_clauses(GHZ3, eps, exact=True),
+    "classify4": lambda eps: classify4(_WGHZ_W, 1, eps),
+    "classify4 exact": lambda eps: classify4(_WGHZ_W, 1, eps, exact=True),
+    "classify4_all": lambda eps: classify4_all(_WGHZ_W, eps),
+    "analyze_span": lambda eps: analyze_span(GHZ3, W3, eps),
+    "analyze_span exact": lambda eps: analyze_span(GHZ3, W3, eps, exact=True),
+    "bipartition_ranks": lambda eps: bipartition_ranks(_WGHZ_W, eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, 1.0, 1.5, -1e-9])
+@pytest.mark.parametrize("call", sorted(_EPS_CALLS))
+def test_eps_outside_unit_interval_raises(call, eps):
+    with pytest.raises(Slocc4Error, match=r"eps must be a finite number in \(0, 1\)"):
+        _EPS_CALLS[call](eps)

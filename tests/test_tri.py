@@ -87,7 +87,7 @@ def test_clause_to_cut_mapping_regression():
         state = tri_canonical(f"Bisep{k}")
         report = w_clauses(state.amps)
         assert report.clause_truth == tuple(i == k - 1 for i in range(3))
-        assert classify3(state) == TriClass.bisep(k)
+        assert classify3(state) == TriClass(f"Bisep({k})")
         assert classify3(state).cut == k
 
 
