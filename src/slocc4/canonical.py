@@ -123,7 +123,11 @@ class FamilySpec(NamedTuple):
 
 def _family_params(spec: FamilySpec) -> dict:
     """The spec's parameters over its family's defaults; raises
-    :class:`ConstraintViolation` for a name the family does not take."""
+    :class:`ConstraintViolation` for a name the family does not take, and
+    for a sign other than +1 on a family without a sign branch (all but
+    ``WW_W``)."""
+    if spec.sign != 1 and spec.family != "WW_W":
+        raise ConstraintViolation(f"family {spec.family} has no sign branch; sign must be +1")
     defaults = FAMILY_PARAMS.get(spec.family, {})
     unknown = spec.params.keys() - defaults.keys()
     if unknown:
@@ -146,7 +150,8 @@ def make_canonical(spec: FamilySpec) -> PureState:
 
     4-qubit families assemble |0> phi0 + |1> phi1 from their pencil;
     3-qubit tags return the fixed representatives.  A parameter name the
-    family does not take raises :class:`ConstraintViolation`.
+    family does not take, or a sign -1 on a family other than ``WW_W``,
+    raises :class:`ConstraintViolation`.
     """
     if spec.family in TRI_STATES:
         _family_params(spec)

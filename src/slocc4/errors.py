@@ -42,8 +42,9 @@ class DegeneratePencil(Slocc4Error):
 
 class GenericTypeUnstable(Slocc4Error):
     """The generic type of a pencil whose quartic vanishes within eps is
-    undecided: the two generic probes disagree or one is ambiguous, or both
-    read GHZ, the type of a pencil whose quartic does not vanish."""
+    undecided: the largest coefficient of a clause pair lies between its
+    zero and nonzero thresholds, so whether that clause holds at a generic
+    element is undecided."""
 
 
 class InternalContradiction(Slocc4Error):

@@ -63,14 +63,15 @@ class ProjectivePoint:
 class QuarticForm(NamedTuple):
     """Homogeneous quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4.
 
-    ``scales`` = (s0, s1) marks the quartic of the pencil of phi0 / s0 and
-    phi1 / s1: its root (x : y) is the point (x / s0 : y / s1) of the pencil
-    of phi0 and phi1, where ``quartic_roots`` reports it.
+    ``scales`` = (a, b, c) marks the quartic of the pencil of e0 and e1 with
+    x e0 + y e1 = (a x + b y) phi0 + (c y) phi1: its root (x : y) is the
+    point (a x + b y : c y) of the pencil of phi0 and phi1, where
+    ``quartic_roots`` reports it.
     """
 
     c: tuple
     amp_scale: float
-    scales: tuple = (1.0, 1.0)
+    scales: tuple = (1.0, 0.0, 1.0)
 
     def evaluate(self, x, y) -> complex:
         return sum(ck * x ** (4 - k) * y**k for k, ck in enumerate(self.c))
@@ -80,11 +81,18 @@ class QuarticForm(NamedTuple):
 
 
 class QuadraticForm(NamedTuple):
-    """Homogeneous quadratic c0 x^2 + c1 xy + c2 y^2."""
+    """Homogeneous quadratic c0 x^2 + c1 xy + c2 y^2.
+
+    ``exact`` holds its exact coefficients in the basis of the lifted
+    pencil vectors, where they decide every identity (each one is invariant
+    under a change of basis); ``gain`` is the factor by which rounding of
+    the pencil vectors reaches the basis of ``c`` (see :class:`QuarticForm`).
+    """
 
     c: tuple
     amp_scale: float
     exact: tuple = None
+    gain: float = 1.0
 
     def evaluate(self, x, y) -> complex:
         return self.c[0] * x * x + self.c[1] * x * y + self.c[2] * y * y
@@ -166,15 +174,15 @@ def quartic(phi0, phi1, scales=None) -> QuarticForm:
     endpoint coefficients come from (1,0) and (0,1) alone, so the y^4
     coefficient is exactly the invariant of ``phi1``.  For vectors outside
     the scale window it is the quartic of the rescaled pencil (see
-    ``_check_inputs``).  ``analyze_span`` passes ``scales`` = (s0, s1) with
-    two vectors that it has already checked and divided by s0 and s1, so
-    that their largest magnitude is 1; they are not checked again, and the
-    form keeps the scales (see :class:`QuarticForm`).
+    ``_check_inputs``).  ``analyze_span`` passes its orthonormal basis e0,
+    e1 with ``scales`` = (a, b, c); no magnitude of a unit vector exceeds
+    1, so the vectors are not checked again, and the form keeps the scales
+    (see :class:`QuarticForm`).
     """
     amp_scale = 1.0
     if scales is None:
         phi0, phi1, s0, s1 = _check_inputs(phi0, phi1)
-        amp_scale, scales = max(s0, s1), (1.0, 1.0)
+        amp_scale, scales = max(s0, s1), (1.0, 0.0, 1.0)
     rows = kernels.pencil_elements(phi0, phi1, _QUARTIC_NODES)
     c = kernels.quartic_coefficients(*[kernels.ghz(*row) for row in rows])
     return QuarticForm(c, amp_scale, scales)
@@ -385,33 +393,64 @@ def cluster_points(points, radius: float) -> list:
 # reach: their quartic can lie within nu of 2+2 and 3+1 quartics.
 # A quantity within its bound is zero, one above _BAND times it is nonzero,
 # and one in between raises AmbiguousClassification.
-# nu: ``analyze_span`` passes the quartic of two vectors with largest
-# magnitude 1.  kernels.ghz on a row of magnitudes <= A is off by at most
+# nu: ``analyze_span`` passes the quartic of two unit vectors (magnitudes
+# at most 1).  kernels.ghz on a row of magnitudes <= A is off by at most
 # 424 u A^4 (u = 2^-53), forming the rows at the nodes adds 128 u A^4, and
 # with A = 1, 1, 2, 2, 3 at the five nodes the interpolation makes that at
 # most about 3.5e4 u in every coefficient, below _NOISE = 2^-37 (6.6e4 u).
-# Measured on 6000 pencils of SLOCC images of the ten families (rounded
-# inputs included), every test of a true multiple root read at most 1e-2
-# of its bound and every other test at least 1e6 times it; on 6000 Gaussian
-# pencils the discriminant read at least 2e7 times its bound, and the share
+# Measured on 12000 pencils of SLOCC images of the ten families (rounded
+# inputs included), every test of a true multiple root read at most 2e-2
+# of its bound and every other test at least 3e5 times it; on 6000 Gaussian
+# pencils the discriminant read at least 1e7 times its bound, and the share
 # of pencils below a ratio grows in proportion to it.
-# The pencil basis is normalized, not orthonormal: a basis whose Gram
-# matrix has condition k shrinks the true value of a degree-d invariant by
-# up to k^d against max |c_i|^d but leaves nu as it is, so the nonzero
-# margins above shrink with k (up to 8e2 in the measured pencils), and a
-# badly conditioned pencil with simple roots reaches the band, where it
-# raises, before the zero side.
+# The pencil basis is orthonormal: ``analyze_span`` writes the forms in e0 =
+# n0 / |n0| and e1 = w / |w|, w = n1 - <e0, n1> e0, with n0 = phi0 / s0 and
+# n1 = phi1 / s1.  No magnitude of a unit vector exceeds 1, so the bound
+# above holds for the rounding of the forms themselves.  Rounding of phi0
+# and phi1 moves n1, and so w, by about u |n1|, and e1 by about u |n1| / |w|:
+# the gain of ``_gain``, at least 1, about lambda^2 for images of W0kPsi_W
+# and at most about 100 on the 12000 pencils above.  nu is multiplied by it
+# (so is the clause bound below).  The basis is orthonormal because a basis
+# whose Gram matrix has condition k (n0, n1 have k of order the gain
+# squared) shrinks the true value of a degree-d invariant by up to k^d
+# against max |c_i|^d while nu stays, so a pencil of two nearly parallel
+# vectors with simple roots would reach the band and raise.
+# Clause forms: each clause quantity is a 2x2 minor of a row of magnitudes
+# <= A (2 A at the node (1, 1)), so with the forming of that row each
+# coefficient of a clause form is off by at most about 80 u A^2, and every
+# coefficient may carry e = _CLAUSE_NOISE A^2 (512 u A^2) times the gain.
+# Then b^2 - 4 a c moves by at most e (10 m + 5 e), m the largest coefficient
+# magnitude, and its own rounding adds at most 2^-47 m^2.  Measured on the
+# 12000 pencils above and on 800 condition-1e3 images of W0kPsi_W at lambda
+# = 16 to 128, a true double root read at most 1e-2 of that bound and two
+# simple roots at least 3e10 times it.
 _NOISE = 2.0**-37
+_CLAUSE_NOISE = 2.0**-44
 _BAND = 32.0
 _FIT = 8.0
 
 
 def _vanishes(value, bound, what) -> bool:
-    """Zero test of a covariant value against its noise bound."""
+    """Zero test of a value against its noise bound; ``what`` names the
+    decision in the message of a value between the thresholds."""
     if value <= bound or value >= _BAND * bound:
         return value <= bound
-    raise AmbiguousClassification(f"quartic {what} at {value / bound:.3g} times its noise "
-                                  f"bound, between the zero (1) and nonzero ({_BAND:g}) thresholds")
+    raise AmbiguousClassification(f"{what} at {value / bound:.3g} times its noise bound, "
+                                  f"between the zero (1) and nonzero ({_BAND:g}) thresholds")
+
+
+def _gain(scales) -> float:
+    """The factor hypot(1, |b / a|) by which rounding of phi0 and phi1 reaches
+    the basis of a form with ``scales`` = (a, b, c): |n1| / |w| in
+    ``analyze_span``."""
+    return math.hypot(1.0, abs(scales[1] / scales[0]))
+
+
+def _pencil_point(scales, x, y, multiplicity=1) -> ProjectivePoint:
+    """The point (a x + b y : c y) of the pencil of phi0 and phi1 at the
+    point (x : y) of a form with ``scales`` = (a, b, c) (see
+    :class:`QuarticForm`)."""
+    return ProjectivePoint(scales[0] * x + scales[1] * y, scales[2] * y, multiplicity)
 
 
 def _fitted(c, roots, nu) -> list:
@@ -422,7 +461,7 @@ def _fitted(c, roots, nu) -> list:
         for _ in range(m):  # times (y X - x Y)
             p = [a * y - b * x for a, b in zip(p + [0j], [0j] + p)]
     lam = sum(a.conjugate() * b for a, b in zip(p, c)) / sum(abs(a) ** 2 for a in p)
-    if _vanishes(max(abs(b - lam * a) for a, b in zip(p, c)), _FIT * nu, "fit of the placed roots"):
+    if _vanishes(max(abs(b - lam * a) for a, b in zip(p, c)), _FIT * nu, "quartic root fit"):
         return roots
     raise AmbiguousClassification("the placed multiple roots do not reproduce the quartic")
 
@@ -492,7 +531,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     not a multiple of f within noise raise as well.  Four simple roots come
     from ``_raw_projective_roots`` in closed form, with roots at infinity
     (1 : 0) where leading coefficients vanish within ``eps``.  Each root is
-    reported in the coordinates of the undivided pencil (see
+    reported in the coordinates of the pencil of phi0 and phi1 (see
     :class:`QuarticForm`).
     """
     if q.identically_zero(eps):
@@ -500,7 +539,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     c = list(map(complex, q.c))
     scale = 2.0 ** -math.frexp(max(map(abs, c)))[1]
     c0, c1, c2, c3, c4 = c = [z * scale for z in c]
-    nu = _NOISE * q.amp_scale**4 * scale
+    nu = _NOISE * q.amp_scale**4 * scale * _gain(q.scales)
     i, j = kernels.quartic_invariants(*c)
     grad_i = (12 * c4, -3 * c3, 2 * c2, -3 * c1, 12 * c0)
     grad_j = (72 * c2 * c4 - 27 * c3 * c3, 9 * c2 * c3 - 54 * c1 * c4,
@@ -512,30 +551,44 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     disc_bound = (nu * sum([abs(wi * di - wj * dj) for di, dj in zip(grad_i, grad_j)])
                   + nu * nu * (192 * ai * ai + 822 * aj) + 12 * ai * e_i * e_i + 4 * e_i**3
                   + e_j * e_j + 2.0**-40 * (ai * ai + aj))
-    s0, s1 = q.scales
-    if not _vanishes(abs(4 * i**3 - j * j), disc_bound, "discriminant"):
+    if not _vanishes(abs(4 * i**3 - j * j), disc_bound, "quartic discriminant"):
         roots = _raw_projective_roots(c, eps)
         if roots[1][1] == 0:
             raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
-        return [ProjectivePoint(x / s0, y / s1) for x, y in roots]
+        return [_pencil_point(q.scales, x, y) for x, y in roots]
     h = kernels.hessian(*c)
     h_max = max(map(abs, h))
-    if _vanishes(h_max, 116 * nu, "Hessian"):
+    if _vanishes(h_max, 116 * nu, "quartic Hessian"):
         roots = [_fourfold_root(c, 4)]
-    elif _vanishes(max(ai / e_i, aj / e_j), 1.0, "invariants I, J"):
+    elif _vanishes(max(ai / e_i, aj / e_j), 1.0, "quartic invariants I, J"):
         triple = _fourfold_root(h, 3)
         roots = [triple, _simple_beside_triple(c, triple)]
     else:
         minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
-        roots = _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "square test"))
-    return [ProjectivePoint(x / s0, y / s1, m) for x, y, m in _fitted(c, roots, nu)]
+        roots = _double_roots(c, _vanishes(minors, 2 * nu * (116 + h_max), "quartic square test"))
+    return [_pencil_point(q.scales, x, y, m) for x, y, m in _fitted(c, roots, nu)]
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
-    """Roots of a quadratic form that does not vanish identically, clustered
-    with radius ``sqrt(eps)``."""
-    roots = _raw_projective_roots(list(f.c), eps)
-    return cluster_points([ProjectivePoint(x, y) for x, y in roots], math.sqrt(eps))
+    """Roots of a quadratic form a x^2 + b xy + c y^2 that does not vanish
+    identically.
+
+    Its discriminant b^2 - 4 a c decides a double root: exactly in exact
+    mode, else against its rounding bound (see the comment above
+    ``_CLAUSE_NOISE``).  A double root is one point of multiplicity 2 at
+    (-b : 2 a) or (2 c : -b), in the chart of the larger of |a| and |c|;
+    otherwise ``_raw_projective_roots`` gives two simple roots."""
+    a, b, c = f.c
+    if f.exact is None:
+        m, e = max(map(abs, f.c)), _CLAUSE_NOISE * f.amp_scale**2 * f.gain
+        double = _vanishes(abs(b * b - 4 * a * c), e * (10 * m + 5 * e) + 2.0**-47 * m * m,
+                           "clause form discriminant")
+    else:
+        ea, eb, ec = f.exact
+        double = not (eb * eb - 4 * ea * ec)
+    if double:
+        return [ProjectivePoint(-b, 2 * a, 2) if abs(a) >= abs(c) else ProjectivePoint(2 * c, -b, 2)]
+    return [ProjectivePoint(x, y) for x, y in _raw_projective_roots([a, b, c], eps)]
 
 
 def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -> list:
@@ -550,14 +603,11 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
     vanish, every point is common and the caller must handle the clause as
     identically false).
     """
-    fz = f.identically_zero(eps)
-    gz = g.identically_zero(eps)
-    if fz and gz:
+    nonzero = [form for form in (f, g) if not form.identically_zero(eps)]
+    if not nonzero:
         raise IdenticallyZero("both quadratics vanish identically")
-    if fz:
-        return _quadratic_roots(g, eps)
-    if gz:
-        return _quadratic_roots(f, eps)
+    if len(nonzero) == 1:
+        return _quadratic_roots(nonzero[0], eps)
     scale = max(map(abs, f.c)) * max(map(abs, g.c))
     if f.exact is not None and g.exact is not None:
         if kernels.resultant(f.exact, g.exact):
@@ -616,43 +666,56 @@ def analyze_span(
 ) -> SpanProfile:
     """Profile the pencil spanned by two independent 3-qubit vectors.
 
-    If the quartic is nonzero the generic element is GHZ and the quartic
-    roots, classified individually, are the exceptional points.  If it
-    vanishes identically the generic type is established by two fixed
-    pseudorandom probes (in exact mode, by which clause pairs vanish
-    identically) and the exceptional candidates are the endpoints and
-    the common roots of each clause pair (a clause fails exactly where
-    both of its quadratics vanish); candidates are kept when their class
-    differs from the generic one.
+    The quartic and the clause forms are written in an orthonormal basis e0,
+    e1 of the pencil, and every point is reported in the coordinates of
+    phi0 and phi1 (see :class:`QuarticForm`).  If the quartic is nonzero
+    the generic element is GHZ and the quartic roots, classified
+    individually, are the exceptional points.  If it vanishes identically,
+    clause k holds at a generic element exactly when its clause pair does
+    not vanish identically, and the exceptional candidates are the common
+    roots of each such pair (a clause fails exactly where both of its
+    quadratics vanish); candidates are kept when their class differs from
+    the generic one.
 
     In exact mode all identity decisions (quartic and clause-form
-    vanishing, resultants, the generic type) are exact, and candidate
-    points are re-classified exactly at snapped rational coordinates when
-    the snap is consistent.  Exactness certifies structure that is exactly
-    representable; when the exact lift sits within float noise of the
-    vanishing variety without being exactly on it (e.g. a family member
-    with irrational parameters rounded to floats), the profile falls back
-    to numeric semantics instead of classifying the noise.
+    vanishing, resultants, double roots, the generic type) are exact, and
+    candidate points are re-classified exactly at snapped rational
+    coordinates when the snap is consistent.  Exactness certifies structure
+    that is exactly representable; when the exact lift sits within float
+    noise of the vanishing variety without being exactly on it (e.g. a
+    family member with irrational parameters rounded to floats), the
+    profile falls back to numeric semantics instead of classifying the
+    noise.
     """
     check_eps(eps)
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    lo, hi = _herm2_eigs(p0, p1)
-    if lo <= eps * hi:
+    # n0 and n1 have largest magnitude 1, so no sum below underflows; then
+    # e0 = n0 / r and e1 = w / t with w = n1 - <e0, n1> e0 = n1 - h n0
+    r0, r1 = 1.0 / s0, 1.0 / s1
+    n0, n1 = [z * r0 for z in p0], [z * r1 for z in p1]
+    r = math.hypot(*map(abs, n0))
+    g00 = r * r
+    h = sum([a.conjugate() * b for a, b in zip(n0, n1)]) / g00
+    w = [b - h * a for a, b in zip(n0, n1)]
+    t = math.hypot(*map(abs, w))
+    # the Gram matrix of p0 and p1, from <n0, n1> = h r^2 and |n1|^2 =
+    # |h|^2 r^2 + t^2
+    lo, hi = _herm2_eigs(g00 * s0 * s0, (abs(h) ** 2 * g00 + t * t) * s1 * s1, h * g00 * s0 * s1)
+    if t == 0.0 or lo <= eps * hi:
         raise DegeneratePencil("spanning vectors are linearly dependent")
 
     ctx = _ExactContext(p0, p1) if exact else None
-    r0, r1 = 1.0 / s0, 1.0 / s1
-    n0 = [z * r0 for z in p0]
-    n1 = [z * r1 for z in p1]
-    qform = quartic(n0, n1, (s0, s1))
+    e0, e1 = [z / r for z in n0], [z / t for z in w]
+    # x e0 + y e1 = (x / r - y h / t) n0 + (y / t) n1
+    scales = (r0 / r, -h * r0 / t, r1 / t)
     if ctx is not None and not any(ctx.exact.quartic_exact(ctx.p0, ctx.p1)):
-        return _profile_degenerate_quartic(n0, n1, s0, s1, eps, ctx)
+        return _profile_degenerate_quartic(e0, e1, scales, eps, ctx)
     try:
-        roots = quartic_roots(qform, eps)
+        roots = quartic_roots(quartic(e0, e1, scales), eps)
     except IdenticallyZero:
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
-        return _profile_degenerate_quartic(n0, n1, s0, s1, eps, None)
+        return _profile_degenerate_quartic(e0, e1, scales, eps, None)
     return _profile_ghz_generic(p0, p1, roots, eps, ctx)
 
 
@@ -681,66 +744,44 @@ def _profile_ghz_generic(p0, p1, roots, eps, ctx):
     return _build_profile(False, TriClass.GHZ, exceptional)
 
 
-#: The two generic probe points (x, y), unit rows.  They are the rows of
-#: ``default_rng(20260809)``'s ``standard_normal((2, 2)) + 1j *
-#: standard_normal((2, 2))``, each divided by its norm, written out so that
-#: importing the package does not load ``numpy.random``.
-_FLOAT_PROBES = (
-    (-0.24549527120333023 - 0.596496358462719j, 0.3420245328601962 - 0.6833325581876539j),
-    (0.23192163483687414 + 0.11203648647438531j, -0.7863805108923078 - 0.5614854166243496j),
-)
-
-
-def _probe_generic_type(p0, p1, eps):
+def _live(fa, fb, eps) -> bool:
+    """Whether a clause pair does not vanish identically: exactly in exact
+    mode, else by its largest coefficient magnitude against eps s^2 (s =
+    ``amp_scale``), where a value between the thresholds of ``_vanishes``
+    leaves the generic type undecided."""
+    if fa.exact is not None:
+        return not (fa.identically_zero(eps) and fb.identically_zero(eps))
     try:
-        types = classify3_batch(kernels.pencil_elements(p0, p1, _FLOAT_PROBES), eps)
+        return not _vanishes(max(map(abs, fa.c + fb.c)), eps * fa.amp_scale**2, "clause pair")
     except AmbiguousClassification as exc:
-        raise GenericTypeUnstable(f"generic probe is ambiguous: {exc}") from exc
-    if types[0] != types[1]:
-        raise GenericTypeUnstable(
-            f"generic probes disagree: {types[0]} vs {types[1]}"
-        )
-    if types[0] == TriClass.GHZ:
-        # the quartic vanishes within eps only, and the probes read it as nonzero
-        raise GenericTypeUnstable("quartic vanishes within eps but the generic probes are GHZ")
-    return types[0]
+        raise GenericTypeUnstable(f"generic type undecided: {exc}") from exc
 
 
-def _profile_degenerate_quartic(p0, p1, s0, s1, eps, ctx):
+def _profile_degenerate_quartic(e0, e1, scales, eps, ctx):
     """Profile of a pencil whose quartic vanishes identically; exactly so
     when ``ctx`` is given."""
-    if ctx is None:
-        generic = _probe_generic_type(p0, p1, eps)
-
-    # float coefficients from the normalized pencil (root localization),
-    # exact triples from the raw lift (identity decisions are invariant
-    # under the per-vector rescaling, and the raw amplitudes carry the
-    # exact zero relations that normalization would round away)
-    pairs = clause_quadratics(p0, p1)
-    if ctx is not None:
-        exact_forms = ctx.exact.clause_quadratics_exact(ctx.p0, ctx.p1)
-        pairs = tuple(
-            tuple(f._replace(exact=exact_forms[2 * k + j]) for j, f in enumerate(pair))
-            for k, pair in enumerate(pairs)
-        )
-    live = [not (fa.identically_zero(eps) and fb.identically_zero(eps)) for fa, fb in pairs]
-    if ctx is not None:
-        # clause k holds at a generic element exactly when its pair does
-        # not vanish identically
-        generic = _class_from_code(kernels.clause_code(*live), "the generic element")
-    candidates = [ProjectivePoint(1, 0), ProjectivePoint(0, 1)]
+    # float coefficients in the orthonormal basis (root localization), exact
+    # triples from the raw lift (identity decisions are invariant under the
+    # change of basis, and the raw amplitudes carry the exact zero relations
+    # that it would round away)
+    exact_forms = ctx.exact.clause_quadratics_exact(ctx.p0, ctx.p1) if ctx else (None,) * 6
+    gain = _gain(scales)
+    pairs = [[f._replace(exact=exact_forms[2 * k + j], gain=gain) for j, f in enumerate(pair)]
+             for k, pair in enumerate(clause_quadratics(e0, e1))]
+    live = [_live(*pair, eps) for pair in pairs]
+    # clause k holds at a generic element exactly when its pair does not
+    # vanish identically, and fails only at the common roots of that pair
+    generic = _class_from_code(kernels.clause_code(*live), "the generic element")
+    candidates = []
     for (fa, fb), keep in zip(pairs, live):
         if keep:
             candidates.extend(common_roots(fa, fb, eps))
 
-    centroids = [
-        pt if pt.multiplicity == 1 else ProjectivePoint(pt.x, pt.y, 1)
-        for pt in cluster_points(candidates, math.sqrt(eps))
-    ]
-    classes = _classify_points(p0, p1, centroids, eps)
+    centroids = cluster_points(candidates, math.sqrt(eps))
+    classes = _classify_points(e0, e1, centroids, eps)
     exceptional = []
     for pt, cls in zip(centroids, classes):
-        mapped = ProjectivePoint(pt.x / s0, pt.y / s1)  # back to the basis phi0, phi1
+        mapped = _pencil_point(scales, pt.x, pt.y)
         recorded = _classify_candidate(mapped, cls, generic, ctx)
         if recorded != generic:
             exceptional.append((mapped, recorded))

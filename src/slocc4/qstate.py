@@ -228,12 +228,9 @@ def _norm2(u) -> float:
     return sum([z.real * z.real + z.imag * z.imag for z in u])
 
 
-def _herm2_eigs(u, v):
-    """Eigenvalues (min, max) of the 2x2 Gram matrix of two complex
-    sequences, in closed form."""
-    g00 = _norm2(u)
-    g11 = _norm2(v)
-    g01 = sum([b.conjugate() * a for a, b in zip(u, v)])
+def _herm2_eigs(g00, g11, g01):
+    """Eigenvalues (min, max) of the 2x2 Gram matrix [[g00, g01], [g01*, g11]]
+    of two complex sequences, in closed form."""
     tr = g00 + g11
     disc = ((g00 - g11) * (g00 - g11) + 4.0 * (g01.real * g01.real + g01.imag * g01.imag)) ** 0.5
     return max(0.5 * (tr - disc), 0.0), 0.5 * (tr + disc)
@@ -245,7 +242,8 @@ def span_dimension(d: Decomposition, eps: float = DEFAULT_EPS) -> int:
     Returns 2 iff the smallest singular value of the Gram matrix of the two
     residual states exceeds ``eps`` times the largest.
     """
-    lo, hi = _herm2_eigs(d.phi0.values, d.phi1.values)
+    u, v = d.phi0.values, d.phi1.values
+    lo, hi = _herm2_eigs(_norm2(u), _norm2(v), sum([a.conjugate() * b for a, b in zip(u, v)]))
     if hi <= 0.0:
         raise ZeroState("both residual states vanish")
     return 2 if lo > eps * hi else 1

@@ -168,3 +168,14 @@ def test_unknown_parameter_name_raises(family):
     if family in FAMILY_PENCILS:
         with pytest.raises(ConstraintViolation, match=message):
             canonical_pencil(spec)
+
+
+@pytest.mark.parametrize("family", ["W000_000", "W0kPsi_W", "WGHZ_W", "GHZ", "Sep000"])
+def test_minus_sign_without_sign_branch_raises(family):
+    spec = FamilySpec(family, sign=-1)
+    message = re.escape(f"family {family} has no sign branch")
+    with pytest.raises(ConstraintViolation, match=message):
+        make_canonical(spec)
+    if family in FAMILY_PENCILS:
+        with pytest.raises(ConstraintViolation, match=message):
+            canonical_pencil(spec)

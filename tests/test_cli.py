@@ -365,6 +365,13 @@ def test_generate_constraint_violation(capsys):
     assert "sqrt" in err
 
 
+@pytest.mark.parametrize("family", ["W000_000", "GHZ"])
+def test_generate_minus_sign_without_sign_branch(family, capsys):
+    code, out, err = run_cli(capsys, "generate", "--family", family, "--sign", "minus")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "has no sign branch" in err
+
+
 def test_generate_with_complex_param(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "generate", "--family", "W0kPsi_W",
                            "--param", "lambda=2,3")

@@ -434,6 +434,26 @@ class TestCommonRoots:
                  for c in (tuple(map(complex, f)), tuple(map(complex, g)))]
         assert common_roots(*forms) == [ProjectivePoint(1, 1)]
 
+    # (2x - y)^2 has the larger x^2 coefficient, (x - 2y)^2 the larger y^2
+    # one; x^2 and y^2 put the double root at an endpoint.  Each form is
+    # moved by 1e-8 in its smaller end coefficient, which splits the root by
+    # about 1e-4.  Exact mode decides the double root on the exact form;
+    # float coefficients written in a basis that rounding reaches multiplied
+    # by 1e6 may carry errors of 6e-8, so there the split is not resolved
+    # either, while with a gain of 1 it is
+    @pytest.mark.parametrize("exact", (False, True), ids=("float", "exact"))
+    @pytest.mark.parametrize("c, moved, root", (((4, -4, 1), 2, (1, 2)), ((1, -4, 4), 0, (2, 1)),
+                                                ((1, 0, 0), 2, (0, 1)), ((0, 0, 1), 0, (1, 0))),
+                             ids=("x2-chart", "y2-chart", "x2", "y2"))
+    def test_double_root_is_one_point(self, c, moved, root, exact):
+        c = tuple(map(complex, c))
+        noisy_c = tuple(z + 1e-8 if k == moved else z for k, z in enumerate(c))
+        f = QuadraticForm(noisy_c, 1.0, lift(c)) if exact else QuadraticForm(noisy_c, 1.0, gain=1e6)
+        (pt,) = pencil._quadratic_roots(f, EPS)
+        assert pt.multiplicity == 2 and pt.chordal(ProjectivePoint(*root)) <= 1e-8
+        if not exact:
+            assert len(pencil._quadratic_roots(f._replace(gain=1.0), EPS)) == 2
+
     def test_both_zero_raises(self):
         pairs = clause_quadratics(np.eye(8)[0], np.eye(8)[7])
         with pytest.raises(IdenticallyZero):
@@ -499,10 +519,11 @@ class TestAnalyzeSpan:
             non_ghz = [cls for _, cls in profile.exceptional if cls != TriClass.GHZ]
             assert non_ghz, "pencil with a GHZ basis vector must contain non-GHZ states"
 
-    def test_quartic_within_eps_with_ghz_probes_is_unstable(self):
+    def test_quartic_within_eps_with_clause_pair_in_band_is_unstable(self):
         # |0>(|00> + |11>) and |1>(|00> + |11>), each moved by about 4e-3:
-        # the quartic vanishes within eps = 3.9e-4, but both generic probes
-        # read GHZ, so the generic type is undecided
+        # the quartic vanishes within eps = 3.9e-4, but a clause pair lies
+        # between its zero and nonzero thresholds, so the generic type is
+        # undecided
         phi0 = [
             1.000389183241498 + 0.002657345377566779j, 0.003126182168758051 + 0.004185366560473566j,
             -0.002765183727840217 + 0.0009674585279937396j, 1.0007431082606209 + 0.00038436296376647013j,
@@ -517,9 +538,9 @@ class TestAnalyzeSpan:
         ]
         eps = 0.00039111606777334553
         assert quartic(phi0, phi1).identically_zero(eps)
-        with pytest.raises(GenericTypeUnstable, match="generic probes are GHZ"):
+        with pytest.raises(GenericTypeUnstable, match="clause pair at .* times its noise bound"):
             analyze_span(phi0, phi1, eps)
-        with pytest.raises(GenericTypeUnstable, match="generic probes are GHZ"):
+        with pytest.raises(GenericTypeUnstable, match="clause pair at .* times its noise bound"):
             classify4(phi0 + phi1, 1, eps)
 
     def test_degenerate_pencil_rejected(self):
@@ -589,13 +610,3 @@ def test_cluster_points_merges_and_sums():
     assert len(merged) == 2
     infinity = [p for p in merged if p.chordal(ProjectivePoint(1, 0)) < 1e-6]
     assert infinity[0].multiplicity == 3
-
-
-def test_float_probes_are_the_seeded_unit_rows():
-    # the probe literals are the normalized rows that default_rng(20260809)
-    # gives, bit for bit
-    want = sphere_points(2, 20260809)
-    probes = np.array(pencil._FLOAT_PROBES, dtype=np.complex128)
-    assert all(type(z) is complex for row in pencil._FLOAT_PROBES for z in row)
-    assert probes.shape == want.shape
-    assert probes.tobytes() == want.tobytes()
