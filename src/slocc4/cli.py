@@ -12,7 +12,7 @@ import os
 import sys
 
 from .errors import Slocc4Error, ZeroState
-from .kernels import windowed
+from .kernels import vanishes, windowed
 from .pencil import analyze_span, clause_quadratics, quartic
 from .qstate import (
     DEFAULT_EPS,
@@ -66,7 +66,8 @@ def _pair(z: complex) -> list:
 
 def _classify2(state: PureState, eps: float, exact: bool):
     """Class and determinant of a 2-qubit state, rescaled by an exact power
-    of two when its largest magnitude lies outside the scale window."""
+    of two when its largest magnitude lies outside the scale window; in
+    float mode the determinant is zero against eps top^2 by ``vanishes``."""
     a, top = windowed(state.values)
     if top == 0.0:
         raise ZeroState("cannot classify the zero state")
@@ -77,7 +78,7 @@ def _classify2(state: PureState, eps: float, exact: bool):
         e = _exact.lift(a)
         entangled = not (e[0] * e[3] - e[1] * e[2]).is_zero
     else:
-        entangled = abs(det) > eps * top * top
+        entangled = not vanishes(abs(det), eps * top * top, "2-qubit determinant")
     return ("Psi" if entangled else "00"), det
 
 
@@ -115,23 +116,22 @@ def _cmd_classify(args) -> int:
             out = {"n": 4, **verdicts[0].to_json()}
         genuine = not verdicts[0].is_degenerate
         if args.explain and genuine:
-            blocks = [_explain_block(state, v.distinguished, eps) for v in verdicts]
+            blocks = [_explain_block(state, v) for v in verdicts]
             out["explain"] = blocks if all_qubits else blocks[0]
     _emit(out)
     return _EXIT_OK if genuine else _EXIT_DEGENERATE
 
 
-def _explain_block(state: PureState, distinguished: int, eps: float) -> dict:
-    d = decompose(state, distinguished)
-    qf = quartic(d.phi0, d.phi1)
+def _explain_block(state: PureState, verdict) -> dict:
+    """The forms of the verdict's residual pencil, written in the basis of
+    phi0 and phi1, and the verdict's own quartic decision."""
+    d = decompose(state, verdict.distinguished)
     pairs = clause_quadratics(d.phi0, d.phi1)
     return {
-        "distinguished": distinguished,
-        "quartic": [_pair(c) for c in qf.c],
-        "quartic_identically_zero": qf.identically_zero(eps),
-        "clause_quadratics": [
-            [[_pair(c) for c in f.c] for f in pair] for pair in pairs
-        ],
+        "distinguished": verdict.distinguished,
+        "quartic": [_pair(c) for c in quartic(d.phi0, d.phi1).c],
+        "quartic_identically_zero": verdict.profile.quartic_identically_zero,
+        "clause_quadratics": [[[_pair(c) for c in f.c] for f in pair] for pair in pairs],
     }
 
 

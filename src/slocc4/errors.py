@@ -25,10 +25,10 @@ class AmbiguousClassification(Slocc4Error):
     """A tolerance straddles a class boundary.
 
     Either exactly two W-condition clauses evaluated true, a pattern that is
-    algebraically impossible, or a covariant of a pencil quartic lies
-    between its zero and its nonzero threshold, so the multiplicities of
-    its roots are undecided.  Callers may retry the clause case in exact
-    mode.
+    algebraically impossible, or a value of a zero test lies between its
+    zero and its nonzero threshold (``kernels.vanishes``; the message names
+    the decision), so whether it vanishes is undecided.  Callers may retry
+    in exact mode.
     """
 
 
@@ -41,10 +41,10 @@ class DegeneratePencil(Slocc4Error):
 
 
 class GenericTypeUnstable(Slocc4Error):
-    """The generic type of a pencil whose quartic vanishes within eps is
-    undecided: the largest coefficient of a clause pair lies between its
-    zero and nonzero thresholds, so whether that clause holds at a generic
-    element is undecided."""
+    """The generic type of a pencil is undecided: the largest coefficient
+    of its quartic, or of a clause pair of a quartic that vanishes, lies
+    between its zero and nonzero thresholds, so whether the generic element
+    is GHZ, or whether that clause holds there, is undecided."""
 
 
 class InternalContradiction(Slocc4Error):

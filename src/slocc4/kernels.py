@@ -13,6 +13,20 @@ division by integers, so the same functions also evaluate the Gaussian
 dyadic numbers of :mod:`slocc4.exact`, which is how exact mode decides
 its identities.
 
+Float decisions "is this value zero" follow one rule, ``vanishes``: a value
+at or below its bound is zero, one at or above ``BAND`` times the bound is
+nonzero, and one in between raises (by default
+:class:`AmbiguousClassification`, naming the decision and the ratio), so a
+value near its bound fails loudly instead of flipping with rounding or with
+the basis it is written in.  The bound is either ``eps`` times the power of
+the amplitude scale that matches the value's degree, or a derived rounding
+bound (``pencil``).  ``tri_code`` applies the band inline to the GHZ value
+and the three clause pairs of a row, so a decided row makes no call.  The
+README lists the few comparisons that stay sharp, each with its reason, and
+the float decisions that exact mode keeps: it decides the 3-qubit classes
+and the identities of a pencil on exact values, but writes the pencil in a
+float basis.
+
 Verdict codes used by ``tri_codes_batch``:
 
 ====  ==========
@@ -28,6 +42,8 @@ code  meaning
 """
 
 import math
+
+from .errors import AmbiguousClassification
 
 CODE_ZERO = 0
 CODE_SEP = 1
@@ -45,6 +61,20 @@ CODE_AMBIGUOUS = 7
 #: of two (``windowed``).
 SCALE_LO = 2.0**-200
 SCALE_HI = 2.0**200
+
+
+#: Ratio of the nonzero threshold of ``vanishes`` to its zero threshold.
+BAND = 32.0
+
+
+def vanishes(value, bound, what, error=AmbiguousClassification) -> bool:
+    """Zero test of a magnitude against its bound; ``what`` names the
+    decision in the ``error`` raised for a value between ``bound`` and
+    ``BAND * bound``."""
+    if value <= bound or value >= BAND * bound:
+        return value <= bound
+    raise error(f"{what} at {value / bound:.3g} times its noise bound, "
+                f"between the zero (1) and nonzero ({BAND:g}) thresholds")
 
 
 def windowed(a) -> tuple:
@@ -159,20 +189,40 @@ def clause_quantities_batch(a) -> list:
     return [clauses(*row) for row in _rows(a)]
 
 
+def clause_truths(q, bound) -> tuple:
+    """The three clause truths of the six clause quantities ``q`` of a row:
+    clause k holds when the larger magnitude of q[2k] and q[2k+1] is not
+    zero against ``bound`` by the rule of ``vanishes``, whose band is tested
+    inline, so a row with no maximum inside it makes no call.
+
+    Exactly two true clauses are algebraically impossible in a row whose
+    GHZ value vanishes (``tri_code``), so a maximum in the band beside two
+    that read nonzero is nonzero; any other maximum in the band raises."""
+    q0, q1, q2, q3, q4, q5 = map(abs, q)
+    m0, m1, m2 = q0 if q0 > q1 else q1, q2 if q2 > q3 else q3, q4 if q4 > q5 else q5
+    top = BAND * bound
+    if m0 >= top and m1 >= top and m2 >= top:  # the common row, a W point
+        return True, True, True
+    if bound < m0 < top or bound < m1 < top or bound < m2 < top:
+        undecided = [m for m in (m0, m1, m2) if bound < m < top]
+        if len(undecided) > 1 or (m0 >= top) + (m1 >= top) + (m2 >= top) < 2:
+            vanishes(undecided[0], bound, "W clause")
+    return m0 > bound, m1 > bound, m2 > bound
+
+
 def tri_code(row, eps):
-    """Verdict code of one row of 8 numbers (see the table above)."""
+    """Verdict code of one row of 8 numbers (see the table above): GHZ
+    unless its GHZ value vanishes against eps s^4, else from the clause
+    truths against eps s^2 (s the largest magnitude of the row)."""
     row, scale = windowed(row)
     if scale == 0.0:
         return CODE_ZERO
-    if abs(ghz(*row)) > eps * scale**4:
+    value, bound4 = abs(ghz(*row)), eps * scale**4
+    # the band of ``vanishes``, tested inline: only a value inside it calls
+    # ``vanishes``, which raises
+    if value > bound4 and (value >= BAND * bound4 or not vanishes(value, bound4, "GHZ value")):
         return CODE_GHZ
-    thresh2 = eps * scale * scale
-    q0, q1, q2, q3, q4, q5 = map(abs, clauses(*row))
-    return clause_code(
-        q0 > thresh2 or q1 > thresh2,
-        q2 > thresh2 or q3 > thresh2,
-        q4 > thresh2 or q5 > thresh2,
-    )
+    return clause_code(*clause_truths(clauses(*row), eps * scale * scale))
 
 
 def tri_codes_batch(a, eps) -> list:

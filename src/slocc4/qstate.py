@@ -19,7 +19,7 @@ from .errors import (
     StateFormatError,
     ZeroState,
 )
-from .kernels import SCALE_HI, SCALE_LO, windowed
+from .kernels import BAND, SCALE_HI, SCALE_LO, vanishes, windowed
 
 DEFAULT_EPS = 1e-9
 
@@ -239,14 +239,16 @@ def _herm2_eigs(g00, g11, g01):
 def span_dimension(d: Decomposition, eps: float = DEFAULT_EPS) -> int:
     """Dimension (1 or 2) of span{phi0, phi1}.
 
-    Returns 2 iff the smallest singular value of the Gram matrix of the two
-    residual states exceeds ``eps`` times the largest.
+    Returns 1 when the smallest eigenvalue of the Gram matrix of the two
+    residual states vanishes against ``eps / kernels.BAND`` times the
+    largest by ``kernels.vanishes``, which raises between its thresholds,
+    else 2: the band lies below ``eps``, as in ``pencil.analyze_span``.
     """
     u, v = d.phi0.values, d.phi1.values
     lo, hi = _herm2_eigs(_norm2(u), _norm2(v), sum([a.conjugate() * b for a, b in zip(u, v)]))
     if hi <= 0.0:
         raise ZeroState("both residual states vanish")
-    return 2 if lo > eps * hi else 1
+    return 1 if vanishes(lo, eps * hi / BAND, "residual Gram matrix") else 2
 
 
 #: The seven nontrivial bipartitions of four qubits, named by the qubits on
@@ -295,6 +297,11 @@ _MINOR_FACTORS = tuple(_cut_minors(_CUT_INDEX[cut]) for cut in BIPARTITIONS)
 # passes the first test; a pair cut that neither test decides goes to the
 # SVD.  Below eps = F the minors' rounding can no longer be told from a
 # rank of 2, so float ``classify4`` refuses such an eps.
+# These comparisons stay sharp, outside kernels.vanishes: exact mode runs
+# the screen at any eps and overrides a rank of 2 by an exact certificate,
+# where a band would raise first on rounding alone (at eps = 1e-17 an exact
+# single-qubit product reads s2/s1 up to 3.2 eps), and the screen's contract
+# is the SVD count.
 _RANK_K = 1e3
 _RANK_FLOOR = 1e-12
 

@@ -204,7 +204,8 @@ def classify4(
         profile = analyze_span(d.phi0, d.phi1, eps, exact=exact)
     except DegeneratePencil as exc:
         # the rank screen passed this qubit's cut at sigma2/sigma1 > eps, the
-        # pencil test needs its square above eps: a ratio in between is a
+        # pencil test needs its square at least eps (below eps / 32 it reads
+        # dependent, in between it raises itself): a ratio in between is a
         # state within sqrt(eps) of one with a separable qubit
         raise AmbiguousClassification(f"qubit {distinguished} has rank 2 but a 1-dimensional "
                                       "residual pencil within eps (near-separable)") from exc

@@ -16,11 +16,15 @@ and exactly one true means biseparable, with clause ``k`` corresponding to
 qubit ``k`` sitting in a product with an entangled pair (a mapping frozen
 by regression tests against the canonical product-times-Bell states).
 
-Thresholds scale with the state's largest amplitude magnitude: degree-4
-quantities are compared against ``eps * scale^4`` and the degree-2 clause
-quantities against ``eps * scale^2``, so verdicts are invariant under
-global rescaling.  In exact mode amplitudes are lifted to Gaussian
-rationals and every zero test is exact.
+In float mode the GHZ value and each clause's larger quantity are zero
+tests of ``kernels.vanishes`` against ``eps * scale^4`` and ``eps *
+scale^2``, with ``scale`` the state's largest amplitude magnitude, so
+verdicts are invariant under global rescaling: a value at most its bound
+is zero, one at least 32 times it nonzero, and one in between raises
+:class:`AmbiguousClassification` naming the decision ("GHZ value" or "W
+clause"), except a clause beside two that read nonzero: exactly two true
+clauses being impossible, it reads nonzero.  In exact mode amplitudes are
+lifted to Gaussian rationals and every zero test is exact.
 """
 
 import enum
@@ -84,9 +88,10 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
 
     A state whose largest magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``] is first rescaled by an exact power of two, and
-    the report holds the values of the rescaled state.  In exact mode the
-    values come from the exact lift and a clause is true when one of its
-    quantities is not exactly zero."""
+    the report holds the values of the rescaled state.  A clause is true
+    when one of its quantities is nonzero: by ``kernels.clause_truths``,
+    the rule of ``classify3``, or in exact mode not exactly zero on the
+    exact lift."""
     check_eps(eps)
     arr, scale = kernels.windowed(_as_amp8(a))
     if exact:
@@ -97,8 +102,7 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
         truth = [q[2 * k] or q[2 * k + 1] for k in range(3)]
     else:
         ghz, q = ghz_invariant(arr), kernels.clause_quantities_batch([arr])[0]
-        thresh = eps * scale * scale
-        truth = [abs(q[2 * k]) > thresh or abs(q[2 * k + 1]) > thresh for k in range(3)]
+        truth = kernels.clause_truths(q, eps * scale * scale)
     return ClauseReport(complex(ghz), tuple(map(bool, truth)), tuple(map(complex, q)))
 
 
@@ -135,8 +139,9 @@ def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:
     """Classify a 3-qubit state into its SLOCC class.
 
     Raises :class:`AmbiguousClassification` when exactly two clauses are
-    true, which is algebraically impossible and signals a numerical
-    borderline rather than being silently rounded to a class.
+    true, which is algebraically impossible, or when a value lies between
+    its zero and nonzero thresholds: both signal a numerical borderline
+    rather than being silently rounded to a class.
     """
     check_eps(eps)
     if isinstance(state, PureState):

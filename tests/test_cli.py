@@ -473,3 +473,27 @@ def test_float_classify_refuses_eps_below_the_rank_floor(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", path, "--eps=1e-13", "--exact")
     assert code == 0
     assert json.loads(out)["class"] == "WGHZ_W"
+
+
+def test_explain_reports_the_verdicts_quartic_decision(tmp_path, capsys):
+    # |0>(|00> + |11>) and |1>(|00> + |11>), each moved by 4.6e-3: the
+    # quartic vanishes within eps in the pencil's orthonormal basis, where
+    # the verdict decides it, while in the basis of phi0 and phi1 its
+    # largest coefficient lies 1.7 times above eps s^4.  explain printed
+    # that second reading, false beside a W-generic verdict
+    amps = [
+        0.9996260275149316 + 0.003054403837665313j, 0.0026687320197764106 - 0.0002943462620566275j,
+        0.0016815678989798991 - 0.00036401450706467417j, 1.0015626175794945 + 0.0008882896691885312j,
+        0.00151190952368644 + 0.0002914565365295378j, -0.005395360345294019 - 0.0076019639946343755j,
+        0.002786707665604563 - 0.0005726128337093546j, 0.004803215191828791 + 0.005838504473558013j,
+        -0.0014810290756462154 + 0.0008065034680830193j, -0.002408083295140738 - 0.0006537773325570363j,
+        0.0028659971619518242 + 0.005627418875205721j, 0.00045876938821613923 + 0.002260139929050556j,
+        0.9968363070864863 + 0.002645972079669167j, 0.0008751908310151675 - 0.00017286395486990335j,
+        0.007973748892188012 - 0.005882849234202922j, 1.0085582755044142 - 0.006552371030347032j,
+    ]
+    path = write_state(tmp_path, amps)
+    code, out, err = run_cli(capsys, "explain", path, "--eps", "0.000105073050634122")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["class"] == "WW_W" and obj["profile"]["quartic_identically_zero"]
+    assert obj["explain"]["quartic_identically_zero"]

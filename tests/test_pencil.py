@@ -245,9 +245,12 @@ class TestQuarticRootsReference:
 
     def test_two_leading_coefficients_within_eps_raise(self):
         # simple roots, two of them at infinity under eps = 0.1: the
-        # multiplicity pattern and the roots contradict each other
+        # multiplicity pattern and the roots contradict each other.  The
+        # coefficients are 256 times those of unit vectors' scale, so the
+        # quartic itself lies far above its zero band (2560 times eps)
+        c = tuple(256 * z for z in (0.05, 0.05, 1, 0.3, 0.7))
         with pytest.raises(AmbiguousClassification, match="two leading coefficients"):
-            quartic_roots(QuarticForm((0.05, 0.05, 1, 0.3, 0.7), 1.0), eps=0.1)
+            quartic_roots(QuarticForm(c, 1.0), eps=0.1)
 
     def test_thresholds_follow_amplitude_scale(self):
         # the same quartic from vectors 2^10 larger has 2^40 larger
@@ -448,11 +451,12 @@ class TestCommonRoots:
     def test_double_root_is_one_point(self, c, moved, root, exact):
         c = tuple(map(complex, c))
         noisy_c = tuple(z + 1e-8 if k == moved else z for k, z in enumerate(c))
-        f = QuadraticForm(noisy_c, 1.0, lift(c)) if exact else QuadraticForm(noisy_c, 1.0, gain=1e6)
+        f = (QuadraticForm(noisy_c, 1.0, lift(c)) if exact
+             else QuadraticForm(noisy_c, 1.0, scales=(1.0, 1e6, 1.0)))
         (pt,) = pencil._quadratic_roots(f, EPS)
         assert pt.multiplicity == 2 and pt.chordal(ProjectivePoint(*root)) <= 1e-8
         if not exact:
-            assert len(pencil._quadratic_roots(f._replace(gain=1.0), EPS)) == 2
+            assert len(pencil._quadratic_roots(f._replace(scales=(1.0, 0.0, 1.0)), EPS)) == 2
 
     def test_both_zero_raises(self):
         pairs = clause_quadratics(np.eye(8)[0], np.eye(8)[7])

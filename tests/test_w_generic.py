@@ -105,6 +105,9 @@ def test_fourfold_root_in_a_nearly_dependent_basis():
             profile = analyze_span(a, g[0] * a + 1e-6 * g[1] * b, eps=1e-14)
         except DegeneratePencil:
             continue
+        except AmbiguousClassification as exc:  # borderline dependent
+            assert "pencil Gram matrix" in str(exc)
+            continue
         assert [pt.multiplicity for pt, _ in profile.exceptional] == [4]
 
 
