@@ -114,15 +114,13 @@ def snap_complex(z) -> tuple:
 def quartic_exact(phi0, phi1) -> tuple:
     """Exact coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of the GHZ
     criterion on the pencil of two lifted vectors."""
-    rows = kernels.pencil_elements(phi0, phi1, kernels.NODES)
-    return kernels.quartic_coefficients(*[kernels.ghz(*row) for row in rows])
+    return kernels.pencil_quartic(phi0, phi1)
 
 
 def clause_quadratics_exact(phi0, phi1) -> tuple:
     """Exact (alpha, beta, gamma) triples of the six clause quantities as
     quadratic forms alpha x^2 + beta xy + gamma y^2 on the pencil."""
-    values = [kernels.clauses(*row) for row in kernels.pencil_elements(phi0, phi1, kernels.NODES[:3])]
-    return tuple(kernels.quadratic_coefficients(*t) for t in zip(*values))
+    return kernels.pencil_clause_forms(phi0, phi1)
 
 
 def exact_rank(values, minors) -> int:

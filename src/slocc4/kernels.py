@@ -7,11 +7,14 @@ every kernel runs one row at a time in Python complex arithmetic.  The
 sequence of rows (lists, tuples or a 2-D array) and return lists.
 
 The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
-``quadratic_coefficients``, ``resultant``, ``clause_code``, ``hessian``,
-``quartic_invariants``) use only ring operations, integer constants and
-division by integers, so the same functions also evaluate the Gaussian
-dyadic numbers of :mod:`slocc4.exact`, which is how exact mode decides
-its identities.
+``quadratic_coefficients``, ``resultant``, ``hessian``,
+``quartic_invariants``, and the pencil forms ``pencil_quartic`` and
+``pencil_clause_forms`` at the integer ``NODES``) use only ring
+operations, integer constants and division by integers, so the same
+functions also evaluate the Gaussian dyadic numbers of :mod:`slocc4.exact`,
+which is how exact mode decides its identities.  Both modes name a 3-qubit
+class by a :class:`TriClass` member, read off the clause truths by
+``clause_class``.
 
 Float decisions "is this value zero" follow one rule, ``vanishes``: a value
 at or below its bound is zero, one at or above ``BAND`` times the bound is
@@ -26,33 +29,45 @@ README lists the few comparisons that stay sharp, each with its reason, and
 the float decisions that exact mode keeps: it decides the 3-qubit classes
 and the identities of a pencil on exact values, but writes the pencil in a
 float basis.
-
-Verdict codes used by ``tri_codes_batch``:
-
-====  ==========
-code  meaning
-====  ==========
-0     zero vector
-1     fully separable (Sep000)
-2..4  biseparable, qubit ``code-1`` in a product
-5     W class
-6     GHZ class
-7     ambiguous (exactly two clauses true; numerically borderline)
-====  ==========
 """
 
+import enum
 import math
 
 from .errors import AmbiguousClassification
 
-CODE_ZERO = 0
-CODE_SEP = 1
-CODE_B1 = 2
-CODE_B2 = 3
-CODE_B3 = 4
-CODE_W = 5
-CODE_GHZ = 6
-CODE_AMBIGUOUS = 7
+
+class TriClass(enum.Enum):
+    """SLOCC class of a 3-qubit pure state."""
+
+    ZERO = "Zero"
+    SEP000 = "Sep000"
+    BISEP1 = "Bisep(1)"
+    BISEP2 = "Bisep(2)"
+    BISEP3 = "Bisep(3)"
+    W = "W"
+    GHZ = "GHZ"
+
+    @property
+    def cut(self):
+        """The separated qubit for biseparable classes, else None."""
+        return _BISEP_CUT.get(self._value_)
+
+    def __str__(self):
+        return self.value
+
+
+#: Keyed by value: an enum member hashes in Python, its value string in C.
+_BISEP_CUT = {TriClass.BISEP1.value: 1, TriClass.BISEP2.value: 2, TriClass.BISEP3.value: 3}
+
+# the members as module constants: a ``TriClass.X`` lookup on the hot path
+# costs about ten times a global one
+_ZERO, _GHZ = TriClass.ZERO, TriClass.GHZ
+
+#: Class of a row that is not GHZ, indexed by c1 + 2 c2 + 4 c3 from its three
+#: clause truths; None marks exactly two true clauses.
+_BY_CLAUSES = (TriClass.SEP000, TriClass.BISEP1, TriClass.BISEP2, None,
+               TriClass.BISEP3, None, None, TriClass.W)
 
 #: Largest amplitude magnitudes in [SCALE_LO, SCALE_HI] keep every
 #: degree-4 quantity of the classifier, and its rounding error, inside the
@@ -162,16 +177,17 @@ def quartic_invariants(c0, c1, c2, c3, c4):
     return i, j
 
 
-def clause_code(c1, c2, c3):
-    """Verdict code of a row that is not GHZ, from its three clause truths."""
-    ntrue = c1 + c2 + c3
-    if ntrue == 3:
-        return CODE_W
-    if ntrue == 0:
-        return CODE_SEP
-    if ntrue == 2:
-        return CODE_AMBIGUOUS
-    return CODE_B1 if c1 else (CODE_B2 if c2 else CODE_B3)
+def clause_class(c1, c2, c3, where="state"):
+    """Class of a row that is not GHZ, from its three clause truths: all
+    three true is W, none is Sep000, only clause k is Bisep(k).  Exactly two
+    true clauses are algebraically impossible and raise
+    :class:`AmbiguousClassification`, naming ``where``."""
+    cls = _BY_CLAUSES[c1 + 2 * c2 + 4 * c3]
+    if cls is None:
+        raise AmbiguousClassification(
+            f"exactly two W-condition clauses are true for {where}; "
+            "the tolerance straddles a class boundary (consider exact mode)")
+    return cls
 
 
 def _rows(a):
@@ -210,23 +226,23 @@ def clause_truths(q, bound) -> tuple:
     return m0 > bound, m1 > bound, m2 > bound
 
 
-def tri_code(row, eps):
-    """Verdict code of one row of 8 numbers (see the table above): GHZ
-    unless its GHZ value vanishes against eps s^4, else from the clause
-    truths against eps s^2 (s the largest magnitude of the row)."""
+def tri_code(row, eps) -> TriClass:
+    """Class of one row of 8 numbers: GHZ unless its GHZ value vanishes
+    against eps s^4, else ``clause_class`` of the clause truths against
+    eps s^2 (s the largest magnitude of the row)."""
     row, scale = windowed(row)
     if scale == 0.0:
-        return CODE_ZERO
+        return _ZERO
     value, bound4 = abs(ghz(*row)), eps * scale**4
     # the band of ``vanishes``, tested inline: only a value inside it calls
     # ``vanishes``, which raises
     if value > bound4 and (value >= BAND * bound4 or not vanishes(value, bound4, "GHZ value")):
-        return CODE_GHZ
-    return clause_code(*clause_truths(clauses(*row), eps * scale * scale))
+        return _GHZ
+    return clause_class(*clause_truths(clauses(*row), eps * scale * scale))
 
 
 def tri_codes_batch(a, eps) -> list:
-    """Verdict code of each row of 8 numbers (see the table above)."""
+    """``tri_code`` of each row of 8 numbers."""
     return [tri_code(row, eps) for row in _rows(a)]
 
 
@@ -234,3 +250,16 @@ def pencil_elements(phi0, phi1, xy) -> list:
     """Rows ``x phi0 + y phi1`` for each pair (x, y) of ``xy``."""
     pairs = list(zip(phi0, phi1))
     return [[x * a + y * b for a, b in pairs] for x, y in xy]
+
+
+def pencil_quartic(phi0, phi1) -> tuple:
+    """Coefficients of the GHZ criterion of ``x phi0 + y phi1`` as a binary
+    quartic (``quartic_coefficients``)."""
+    return quartic_coefficients(*[ghz(*row) for row in pencil_elements(phi0, phi1, NODES)])
+
+
+def pencil_clause_forms(phi0, phi1) -> tuple:
+    """The six clause quantities of ``x phi0 + y phi1`` as binary quadratics
+    (alpha, beta, gamma) (``quadratic_coefficients``)."""
+    q = clause_quantities_batch(pencil_elements(phi0, phi1, NODES[:3]))
+    return tuple(quadratic_coefficients(*values) for values in zip(*q))

@@ -254,14 +254,4 @@ def profile_by_sampling(
         if all(pt.chordal(p) > radius for p, _ in exceptional):
             exceptional.append((pt, cls))
 
-    contains_000 = any(cls == TriClass.SEP000 for _, cls in exceptional)
-    cuts = sorted(cls.cut for _, cls in exceptional if cls.cut is not None)
-    return SpanProfile(
-        quartic_identically_zero=generic != TriClass.GHZ,
-        generic_type=generic,
-        exceptional=tuple(exceptional),
-        contains_000=contains_000,
-        bisep_cuts=tuple(cuts),
-        w_points=any(cls == TriClass.W for _, cls in exceptional),
-        ghz_generic=generic == TriClass.GHZ,
-    )
+    return SpanProfile(generic, tuple(exceptional))

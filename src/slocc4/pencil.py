@@ -22,7 +22,7 @@ from .errors import (
     ZeroState,
 )
 from .qstate import DEFAULT_EPS, PureState, _herm2_eigs, check_eps, complex_values
-from .tri import TriClass, _class_from_code, classify3_batch, classify3_exact_amps
+from .tri import TriClass, classify3_batch, classify3_exact_amps
 
 
 class ProjectivePoint:
@@ -115,15 +115,35 @@ class QuadraticForm(NamedTuple):
 
 
 class SpanProfile(NamedTuple):
-    """Result of profiling a pencil of 3-qubit vectors."""
+    """Result of profiling a pencil of 3-qubit vectors: the class of its
+    generic element and its exceptional points with their classes.  The
+    other properties are read off these two."""
 
-    quartic_identically_zero: bool
     generic_type: TriClass
     exceptional: tuple  # of (ProjectivePoint, TriClass) pairs
-    contains_000: bool
-    bisep_cuts: tuple
-    w_points: bool
-    ghz_generic: bool
+
+    @property
+    def ghz_generic(self) -> bool:
+        return self.generic_type is TriClass.GHZ
+
+    @property
+    def quartic_identically_zero(self) -> bool:
+        """The pencil quartic vanishes identically exactly when the generic
+        element is not GHZ."""
+        return self.generic_type is not TriClass.GHZ
+
+    @property
+    def contains_000(self) -> bool:
+        return TriClass.SEP000 in [cls for _, cls in self.exceptional]
+
+    @property
+    def bisep_cuts(self) -> tuple:
+        """The cut of each biseparable exceptional point, sorted."""
+        return tuple(sorted(cls.cut for _, cls in self.exceptional if cls.cut is not None))
+
+    @property
+    def w_points(self) -> bool:
+        return TriClass.W in [cls for _, cls in self.exceptional]
 
     def to_json(self) -> dict:
         return {
@@ -173,15 +193,6 @@ def _check_inputs(phi0, phi1):
     return p0, p1, s0, s1
 
 
-#: Interpolation nodes (x, y) of the quartic and of the clause quadratics.
-_QUARTIC_NODES = tuple((complex(x), complex(y)) for x, y in kernels.NODES)
-_QUADRATIC_NODES = _QUARTIC_NODES[:3]
-
-
-#: The ``scales`` of a form written in the basis of the given vectors.
-_IDENTITY = (1.0, 0.0, 1.0)
-
-
 def quartic(phi0, phi1) -> QuarticForm:
     """Quartic form equal to the GHZ criterion of ``x phi0 + y phi1``.
 
@@ -192,29 +203,22 @@ def quartic(phi0, phi1) -> QuarticForm:
     ``_check_inputs``).
     """
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    return _quartic_form(p0, p1, max(s0, s1), _IDENTITY)
+    return QuarticForm(kernels.pencil_quartic(p0, p1), max(s0, s1))
 
 
 def clause_quadratics(phi0, phi1) -> tuple:
     """The six clause quantities as quadratic forms on the pencil, grouped
     into the three clause pairs; vectors as in ``quartic``."""
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
-    return _clause_forms(p0, p1, max(s0, s1), _IDENTITY)
+    return _clause_forms(p0, p1, max(s0, s1))
 
 
-# The two form builders take checked vectors: those of ``_check_inputs``, or
-# the orthonormal basis e0, e1 of ``analyze_span`` with amp_scale 1 (no
-# magnitude of a unit vector exceeds 1) and its ``scales`` = (a, b, c).
-def _quartic_form(p0, p1, amp_scale, scales) -> QuarticForm:
-    rows = kernels.pencil_elements(p0, p1, _QUARTIC_NODES)
-    c = kernels.quartic_coefficients(*[kernels.ghz(*row) for row in rows])
-    return QuarticForm(c, amp_scale, scales)
-
-
-def _clause_forms(p0, p1, amp_scale, scales) -> tuple:
-    q = kernels.clause_quantities_batch(kernels.pencil_elements(p0, p1, _QUADRATIC_NODES))
-    forms = tuple(QuadraticForm(kernels.quadratic_coefficients(*values), amp_scale, scales=scales)
-                  for values in zip(*q))
+def _clause_forms(p0, p1, amp_scale, scales=(1.0, 0.0, 1.0)) -> tuple:
+    """The clause forms of checked vectors, grouped into pairs: those of
+    ``_check_inputs``, or the orthonormal basis e0, e1 of ``analyze_span``
+    with amp_scale 1 (no magnitude of a unit vector exceeds 1) and its
+    ``scales`` = (a, b, c)."""
+    forms = tuple(QuadraticForm(c, amp_scale, scales=scales) for c in kernels.pencil_clause_forms(p0, p1))
     return (forms[0:2], forms[2:4], forms[4:6])
 
 
@@ -759,19 +763,13 @@ def analyze_span(
     if ctx is not None and not any(ctx.exact.quartic_exact(ctx.p0, ctx.p1)):
         return _profile_degenerate_quartic(e0, e1, scales, eps, ctx)
     try:
-        roots = quartic_roots(_quartic_form(e0, e1, 1.0, scales), eps)
+        roots = quartic_roots(QuarticForm(kernels.pencil_quartic(e0, e1), 1.0, scales), eps)
     except IdenticallyZero:
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
         return _profile_degenerate_quartic(e0, e1, scales, eps, None)
-    return _profile_ghz_generic(p0, p1, roots, eps, ctx)
-
-
-def _profile_ghz_generic(p0, p1, roots, eps, ctx):
-    """Profile of a pencil with a nonzero quartic, from its roots in the
-    coordinates of the pencil of p0 and p1."""
-    exceptional = list(zip(roots, _classes(p0, p1, roots, roots, TriClass.GHZ, eps, ctx)))
-    return _build_profile(False, TriClass.GHZ, exceptional)
+    classes = _classes(p0, p1, roots, roots, TriClass.GHZ, eps, ctx)
+    return SpanProfile(TriClass.GHZ, tuple(zip(roots, classes)))
 
 
 def _live(fa, fb, eps) -> bool:
@@ -798,7 +796,7 @@ def _profile_degenerate_quartic(e0, e1, scales, eps, ctx):
     live = [_live(*pair, eps) for pair in pairs]
     # clause k holds at a generic element exactly when its pair does not
     # vanish identically, and fails only at the common roots of that pair
-    generic = _class_from_code(kernels.clause_code(*live), "the generic element")
+    generic = kernels.clause_class(*live, "the generic element")
     candidates = []
     for (fa, fb), keep in zip(pairs, live):
         if keep:
@@ -809,18 +807,4 @@ def _profile_degenerate_quartic(e0, e1, scales, eps, ctx):
     centroids = cluster_points(candidates, math.sqrt(eps))
     mapped = [_pencil_point(scales, pt.x, pt.y) for pt in centroids]
     classes = _classes(e0, e1, centroids, mapped, generic, eps, ctx)
-    exceptional = [(pt, cls) for pt, cls in zip(mapped, classes) if cls != generic]
-    return _build_profile(True, generic, exceptional)
-
-
-def _build_profile(identically_zero, generic, exceptional) -> SpanProfile:
-    classes = [cls for _, cls in exceptional]
-    return SpanProfile(
-        quartic_identically_zero=identically_zero,
-        generic_type=generic,
-        exceptional=tuple(exceptional),
-        contains_000=TriClass.SEP000 in classes,
-        bisep_cuts=tuple(sorted(cls.cut for cls in classes if cls.cut is not None)),
-        w_points=TriClass.W in classes,
-        ghz_generic=generic == TriClass.GHZ,
-    )
+    return SpanProfile(generic, tuple((pt, cls) for pt, cls in zip(mapped, classes) if cls != generic))

@@ -132,8 +132,8 @@ def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
     """Decision table on a span profile, in the least-entanglement order."""
     sep_points = sum(cls == TriClass.SEP000 for _, cls in profile.exceptional)
     cuts = profile.bisep_cuts
-    generic_ghz = not profile.quartic_identically_zero
-    generic_w = profile.quartic_identically_zero and profile.generic_type == TriClass.W
+    generic_ghz = profile.ghz_generic
+    generic_w = profile.generic_type == TriClass.W
 
     if not generic_ghz and not generic_w:
         raise InternalContradiction(

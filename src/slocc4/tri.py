@@ -27,40 +27,12 @@ clauses being impossible, it reads nonzero.  In exact mode amplitudes are
 lifted to Gaussian rationals and every zero test is exact.
 """
 
-import enum
 from typing import NamedTuple
 
 from . import kernels
-from .errors import AmbiguousClassification, DimensionMismatch
+from .errors import DimensionMismatch
+from .kernels import TriClass
 from .qstate import DEFAULT_EPS, PureState, check_eps, complex_values
-
-
-class TriClass(enum.Enum):
-    """SLOCC class of a 3-qubit pure state."""
-
-    ZERO = "Zero"
-    SEP000 = "Sep000"
-    BISEP1 = "Bisep(1)"
-    BISEP2 = "Bisep(2)"
-    BISEP3 = "Bisep(3)"
-    W = "W"
-    GHZ = "GHZ"
-
-    @property
-    def cut(self):
-        """The separated qubit for biseparable classes, else None."""
-        return _BISEP_CUT.get(self._value_)
-
-    def __str__(self):
-        return self.value
-
-
-#: Keyed by value: an enum member hashes in Python, its value string in C.
-_BISEP_CUT = {TriClass.BISEP1.value: 1, TriClass.BISEP2.value: 2, TriClass.BISEP3.value: 3}
-
-#: Class of each verdict code: ``TriClass`` declares its members in code
-#: order (``kernels.CODE_ZERO`` .. ``kernels.CODE_GHZ``).
-_CODE_TO_CLASS = tuple(TriClass)
 
 
 class ClauseReport(NamedTuple):
@@ -106,22 +78,10 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
     return ClauseReport(complex(ghz), tuple(map(bool, truth)), tuple(map(complex, q)))
 
 
-def _class_from_code(code: int, where="state") -> TriClass:
-    if code == kernels.CODE_AMBIGUOUS:
-        raise AmbiguousClassification(
-            f"exactly two W-condition clauses are true for {where}; "
-            "the tolerance straddles a class boundary (consider exact mode)"
-        )
-    return _CODE_TO_CLASS[code]
-
-
 def classify3_batch(amps, eps: float = DEFAULT_EPS) -> list:
     """Classify each amplitude row of a (N, 8) array or a list of N rows of
     8 numbers."""
-    codes = kernels.tri_codes_batch(amps, eps)
-    if kernels.CODE_AMBIGUOUS in codes:  # raises, naming the first such row
-        _class_from_code(kernels.CODE_AMBIGUOUS, f"row {codes.index(kernels.CODE_AMBIGUOUS)}")
-    return [_CODE_TO_CLASS[code] for code in codes]
+    return kernels.tri_codes_batch(amps, eps)
 
 
 def classify3_exact_amps(lifted) -> TriClass:
@@ -131,8 +91,7 @@ def classify3_exact_amps(lifted) -> TriClass:
     if kernels.ghz(*lifted):
         return TriClass.GHZ
     q = kernels.clauses(*lifted)
-    code = kernels.clause_code(bool(q[0] or q[1]), bool(q[2] or q[3]), bool(q[4] or q[5]))
-    return _class_from_code(code, "exact state")
+    return kernels.clause_class(bool(q[0] or q[1]), bool(q[2] or q[3]), bool(q[4] or q[5]), "exact state")
 
 
 def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:

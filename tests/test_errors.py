@@ -9,14 +9,21 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slocc4 import (
+    AmbiguousClassification,
+    DegeneratePencil,
+    DimensionMismatch,
+    ProjectivePoint,
     PureState,
     Slocc4Error,
+    SpanProfile,
+    TriClass,
     analyze_span,
     bipartition_ranks,
     classify3,
@@ -30,7 +37,10 @@ from slocc4 import (
     span_dimension,
     w_clauses,
 )
+from slocc4 import cli, quad
+from slocc4.canonical import FamilySpec, canonical_pencil, random_slocc
 from slocc4.cli import main
+from slocc4.qstate import cut_matrix
 
 from conftest import GHZ3, W3
 
@@ -105,3 +115,48 @@ _EPS_CALLS = {
 def test_eps_outside_unit_interval_raises(call, eps):
     with pytest.raises(Slocc4Error, match=r"eps must be a finite number in \(0, 1\)"):
         _EPS_CALLS[call](eps)
+
+
+def _classify4_with_a_ghz_root():
+    # a pencil quartic root that classifies as GHZ: its element is within
+    # rounding of a GHZ-class one, which a well-conditioned pencil never gives
+    profile = SpanProfile(TriClass.GHZ, ((ProjectivePoint(1, 0), TriClass.GHZ),))
+    with mock.patch.object(quad, "analyze_span", lambda *args, **kwargs: profile):
+        classify4(_WGHZ_W)
+
+
+def _classify_a_one_qubit_state():
+    args = cli._build_parser().parse_args(["classify", "-"])
+    with mock.patch("sys.stdin", io.StringIO(json.dumps({"n": 1, "amps": [[1, 0], [0, 0]]}))):
+        cli._cmd_classify(args)
+
+
+#: (entry point and input, exception class, message) of raises no other
+#: test reaches.
+_RAISES = {
+    "classify4 GHZ root": (_classify4_with_a_ghz_root, AmbiguousClassification,
+                           "a root of the pencil quartic classifies as GHZ: the pencil is too "
+                           "badly conditioned to place it"),
+    "canonical_pencil unknown family": (lambda: canonical_pencil(FamilySpec("W000")), Slocc4Error,
+                                        "unknown 4-qubit family 'W000'"),
+    "random_slocc max_condition < 1": (lambda: random_slocc(4, 0.5), Slocc4Error,
+                                       "max_condition must be >= 1"),
+    "decompose qubit 5": (lambda: decompose(_WGHZ_W, 5), DimensionMismatch,
+                          "distinguished qubit 5 out of range 1..4"),
+    "cut_matrix 3 qubits": (lambda: cut_matrix(PureState(GHZ3), (1, 2)), DimensionMismatch,
+                            "bipartition cuts are defined for 4-qubit states"),
+    "analyze_span 2-qubit vector": (lambda: analyze_span(PureState([1, 0, 0, 1]), W3), DegeneratePencil,
+                                    "pencil vectors must be 3-qubit, got n=2"),
+    "analyze_span 7 amplitudes": (lambda: analyze_span(GHZ3, list(W3)[:7]), DegeneratePencil,
+                                  "pencil vectors must have 8 amplitudes"),
+    "cli classify 1 qubit": (_classify_a_one_qubit_state, Slocc4Error,
+                             "classification needs 2, 3 or 4 qubits"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RAISES))
+def test_raise_table(entry):
+    call, error, message = _RAISES[entry]
+    with pytest.raises(Slocc4Error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

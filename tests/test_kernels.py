@@ -1,11 +1,12 @@
 """Each kernel in ``slocc4.kernels`` must agree with the vectorized numpy
 reference of its formula kept here, on random rows and on one row of
-every verdict code.  The kernels return lists; the checks read them as
+every class.  The kernels return lists; the checks read them as
 arrays."""
 
 import numpy as np
+import pytest
 
-from slocc4 import TriClass, kernels
+from slocc4 import AmbiguousClassification, TriClass, kernels
 from slocc4.oracle import _hyperdet_batch, rank_codes_batch
 from slocc4.tri import classify3_batch
 
@@ -31,6 +32,7 @@ def ref_clause_quantities(a):
 
 
 def ref_tri_codes(a, eps):
+    """The class of each row, None where exactly two clauses are true."""
     scale = np.abs(a).max(axis=1)
     t = ref_ghz_invariant(a)
     q = np.abs(ref_clause_quantities(a))
@@ -39,36 +41,37 @@ def ref_tri_codes(a, eps):
     c2 = (q[:, 2] > thresh2) | (q[:, 3] > thresh2)
     c3 = (q[:, 4] > thresh2) | (q[:, 5] > thresh2)
     ntrue = c1.astype(np.int8) + c2 + c3
-    codes = np.full(a.shape[0], kernels.CODE_SEP, dtype=np.int8)
-    codes[ntrue == 3] = kernels.CODE_W
-    codes[ntrue == 2] = kernels.CODE_AMBIGUOUS
+    classes = np.full(a.shape[0], TriClass.SEP000, dtype=object)
+    classes[ntrue == 3] = TriClass.W
+    classes[ntrue == 2] = None
     one = ntrue == 1
-    codes[one & c1] = kernels.CODE_B1
-    codes[one & c2] = kernels.CODE_B2
-    codes[one & c3] = kernels.CODE_B3
-    codes[np.abs(t) > eps * scale**4] = kernels.CODE_GHZ
-    codes[scale == 0.0] = kernels.CODE_ZERO
-    return codes
+    classes[one & c1] = TriClass.BISEP1
+    classes[one & c2] = TriClass.BISEP2
+    classes[one & c3] = TriClass.BISEP3
+    classes[np.abs(t) > eps * scale**4] = TriClass.GHZ
+    classes[scale == 0.0] = TriClass.ZERO
+    return classes.tolist()
 
 
 def ref_pencil_elements(phi0, phi1, xy):
     return xy[:, 0, None] * phi0[None, :] + xy[:, 1, None] * phi1[None, :]
 
 
-#: One row per verdict code, keyed by the code.
+#: One row per class, keyed by the class.
 SPECIAL_ROWS = {
-    kernels.CODE_ZERO: [0, 0, 0, 0, 0, 0, 0, 0],
-    kernels.CODE_SEP: [1, 0, 0, 0, 0, 0, 0, 0],
-    kernels.CODE_B1: [1, 0, 0, 1, 0, 0, 0, 0],  # |0> (|00> + |11>)
-    kernels.CODE_B2: [1, 0, 0, 0, 0, 1, 0, 0],  # qubit 2 in a product
-    kernels.CODE_B3: [1, 0, 0, 0, 0, 0, 1, 0],  # qubit 3 in a product
-    kernels.CODE_W: [0, 1, 1, 0, 1, 0, 0, 0],
-    kernels.CODE_GHZ: [1, 0, 0, 0, 0, 0, 0, 1],
-    # a0 a3 = -(a1 a4 - a0 a5) = 1e-5 sit above eps, the only other nonzero
-    # quantity a3 a5 = 1e-10 below it, and the GHZ invariant vanishes:
-    # exactly clauses 1 and 2 are true
-    kernels.CODE_AMBIGUOUS: [1, 0, 0, 1e-5, 0, 1e-5, 0, 0],
+    TriClass.ZERO: [0, 0, 0, 0, 0, 0, 0, 0],
+    TriClass.SEP000: [1, 0, 0, 0, 0, 0, 0, 0],
+    TriClass.BISEP1: [1, 0, 0, 1, 0, 0, 0, 0],  # |0> (|00> + |11>)
+    TriClass.BISEP2: [1, 0, 0, 0, 0, 1, 0, 0],  # qubit 2 in a product
+    TriClass.BISEP3: [1, 0, 0, 0, 0, 0, 1, 0],  # qubit 3 in a product
+    TriClass.W: [0, 1, 1, 0, 1, 0, 0, 0],
+    TriClass.GHZ: [1, 0, 0, 0, 0, 0, 0, 1],
 }
+
+#: a0 a3 = -(a1 a4 - a0 a5) = 1e-5 sit above eps, the only other nonzero
+#: quantity a3 a5 = 1e-10 below it, and the GHZ invariant vanishes: exactly
+#: clauses 1 and 2 are true.
+AMBIGUOUS_ROW = [1, 0, 0, 1e-5, 0, 1e-5, 0, 0]
 
 
 def batch(n, seed):
@@ -86,26 +89,19 @@ def batch(n, seed):
 SIZES = (1, 4, 500)
 
 
-def test_each_code_names_its_class():
-    # tri maps codes to classes by the declaration order of TriClass
-    want = {
-        kernels.CODE_ZERO: TriClass.ZERO,
-        kernels.CODE_SEP: TriClass.SEP000,
-        kernels.CODE_B1: TriClass.BISEP1,
-        kernels.CODE_B2: TriClass.BISEP2,
-        kernels.CODE_B3: TriClass.BISEP3,
-        kernels.CODE_W: TriClass.W,
-        kernels.CODE_GHZ: TriClass.GHZ,
-    }
-    rows = np.array([SPECIAL_ROWS[code] for code in want], dtype=np.complex128)
-    assert classify3_batch(rows, EPS) == list(want.values())
-    assert classify3_batch(rows.tolist(), EPS) == list(want.values())
+def test_each_special_row_classifies_to_its_class():
+    rows = np.array(list(SPECIAL_ROWS.values()), dtype=np.complex128)
+    assert classify3_batch(rows, EPS) == list(SPECIAL_ROWS)
+    assert classify3_batch(rows.tolist(), EPS) == list(SPECIAL_ROWS)
+    assert ref_tri_codes(np.array([AMBIGUOUS_ROW], dtype=np.complex128), EPS) == [None]
+    with pytest.raises(AmbiguousClassification, match="exactly two W-condition clauses"):
+        classify3_batch([SPECIAL_ROWS[TriClass.W], AMBIGUOUS_ROW], EPS)
 
 
 def test_special_rows_have_their_codes():
     rows = np.array(list(SPECIAL_ROWS.values()), dtype=np.complex128)
-    np.testing.assert_array_equal(kernels.tri_codes_batch(rows, EPS), list(SPECIAL_ROWS))
-    np.testing.assert_array_equal(ref_tri_codes(rows, EPS), list(SPECIAL_ROWS))
+    assert kernels.tri_codes_batch(rows, EPS) == list(SPECIAL_ROWS)
+    assert ref_tri_codes(rows, EPS) == list(SPECIAL_ROWS)
 
 
 def test_ghz_invariant_backends_agree():
@@ -136,8 +132,8 @@ def test_tri_codes_backends_agree():
     for n in SIZES:
         a = batch(n, seed=n + 2)
         out = kernels.tri_codes_batch(a, EPS)
-        assert len(out) == n and all(type(code) is int for code in out)
-        np.testing.assert_array_equal(out, ref_tri_codes(a, EPS))
+        assert len(out) == n and all(type(cls) is TriClass for cls in out)
+        assert out == ref_tri_codes(a, EPS)
 
 
 def test_pencil_elements_backends_agree():

@@ -25,21 +25,8 @@ from slocc4.quad import _decide
 from conftest import FAMILY_TAGS
 
 
-def _profile(generic, points, identically_zero=None):
-    if identically_zero is None:
-        identically_zero = generic == TriClass.W
-    exceptional = tuple(
-        (ProjectivePoint(1, i + 1), cls) for i, cls in enumerate(points)
-    )
-    return SpanProfile(
-        quartic_identically_zero=identically_zero,
-        generic_type=generic,
-        exceptional=exceptional,
-        contains_000=TriClass.SEP000 in points,
-        bisep_cuts=tuple(sorted(c.cut for c in points if c.cut)),
-        w_points=TriClass.W in points,
-        ghz_generic=generic == TriClass.GHZ,
-    )
+def _profile(generic, points):
+    return SpanProfile(generic, tuple((ProjectivePoint(1, i + 1), cls) for i, cls in enumerate(points)))
 
 
 class TestDecisionTable:
@@ -99,7 +86,7 @@ class TestDecisionTable:
             _decide(p, 1)
 
     def test_biseparable_generic_is_contradiction(self):
-        p = _profile(TriClass.BISEP1, [], identically_zero=True)
+        p = _profile(TriClass.BISEP1, [])
         with pytest.raises(InternalContradiction):
             _decide(p, 1)
 
