@@ -5,13 +5,12 @@ vector lifts exactly to numbers (re + i im) 2^e with integers re, im and e.
 Exact mode performs all zero tests in this ring, where vanishing is decided
 without tolerances, by evaluating the float path's formulas from
 :mod:`slocc4.kernels` on these numbers.  The formulas use only ring
-operations and the divisions by 2 and 6 of ``kernels.quartic_coefficients``,
-which are exact there: the coefficients of the pencil quartic are integer
+operations and integer constants, so the ring needs no division: the
+coefficients of the pencil quartic and of the clause forms are integer
 polynomials in the amplitudes.
 """
 
 from . import kernels
-from .errors import InternalContradiction
 
 
 class GaussianRational:
@@ -60,14 +59,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, k: int):
-        """Division by a nonzero int, which must leave a Gaussian dyadic."""
-        shift = (k & -k).bit_length() - 1
-        odd = k >> shift
-        if self.re % odd or self.im % odd:
-            raise InternalContradiction(f"{self!r} / {k} is not a Gaussian dyadic number")
-        return GaussianRational(self.re // odd, self.im // odd, self.e - shift)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):

@@ -6,15 +6,15 @@ every kernel runs one row at a time in Python complex arithmetic.  The
 ``*_batch`` kernels and ``pencil_elements`` loop over the rows of any
 sequence of rows (lists, tuples or a 2-D array) and return lists.
 
-The formulas themselves (``ghz``, ``clauses``, ``quartic_coefficients``,
-``quadratic_coefficients``, ``resultant``, ``hessian``,
-``quartic_invariants``, and the pencil forms ``pencil_quartic`` and
-``pencil_clause_forms`` at the integer ``NODES``) use only ring
-operations, integer constants and division by integers, so the same
-functions also evaluate the Gaussian dyadic numbers of :mod:`slocc4.exact`,
-which is how exact mode decides its identities.  Both modes name a 3-qubit
-class by a :class:`TriClass` member, read off the clause truths by
-``clause_class``.
+The formulas themselves (``ghz``, ``clauses``, ``quadratic_coefficients``,
+``resultant``, ``hessian``, ``quartic_invariants``, and the pencil forms:
+``pencil_quartic``, expanded from bilinear products, and
+``pencil_clause_forms`` at the integer ``NODES``) use only ring operations
+and integer constants, so the same functions also evaluate the Gaussian
+dyadic numbers of :mod:`slocc4.exact`, which is how exact mode decides its
+identities; ``quartic_coefficients`` divides by 2 and 6 and serves float
+mode only.  Both modes name a 3-qubit class by a :class:`TriClass` member,
+read off the clause truths by ``clause_class``.
 
 Float decisions "is this value zero" follow one rule, ``vanishes``: a value
 at or below its bound is zero, one at or above ``BAND`` times the bound is
@@ -230,9 +230,14 @@ def tri_code(row, eps) -> TriClass:
     """Class of one row of 8 numbers: GHZ unless its GHZ value vanishes
     against eps s^4, else ``clause_class`` of the clause truths against
     eps s^2 (s the largest magnitude of the row)."""
-    row, scale = windowed(row)
-    if scale == 0.0:
-        return _ZERO
+    try:
+        scale = max(map(abs, row))
+    except OverflowError:  # ``windowed`` takes the scale from the parts
+        scale = math.inf
+    if not SCALE_LO <= scale <= SCALE_HI:
+        row, scale = windowed(row)
+        if scale == 0.0:
+            return _ZERO
     value, bound4 = abs(ghz(*row)), eps * scale**4
     # the band of ``vanishes``, tested inline: only a value inside it calls
     # ``vanishes``, which raises
@@ -253,9 +258,25 @@ def pencil_elements(phi0, phi1, xy) -> list:
 
 
 def pencil_quartic(phi0, phi1) -> tuple:
-    """Coefficients of the GHZ criterion of ``x phi0 + y phi1`` as a binary
-    quartic (``quartic_coefficients``)."""
-    return quartic_coefficients(*[ghz(*row) for row in pencil_elements(phi0, phi1, NODES)])
+    """Coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of the GHZ criterion
+    S^2 - 4 P Q of ``x phi0 + y phi1`` (see ``ghz``), with S, P and Q
+    expanded as binary quadratics from the bilinear products of phi0 and
+    phi1.  The x^4 and y^4 coefficients are ``ghz`` of phi0 and of phi1, to
+    the last bit."""
+    u0, u1, u2, u3, u4, u5, u6, u7 = phi0
+    v0, v1, v2, v3, v4, v5, v6, v7 = phi1
+    s0 = u0 * u7 - u2 * u5 + u1 * u6 - u3 * u4
+    s1 = u0 * v7 + v0 * u7 - (u2 * v5 + v2 * u5) + (u1 * v6 + v1 * u6) - (u3 * v4 + v3 * u4)
+    s2 = v0 * v7 - v2 * v5 + v1 * v6 - v3 * v4
+    p0, q0 = u2 * u4 - u0 * u6, u3 * u5 - u1 * u7
+    p1 = u2 * v4 + v2 * u4 - (u0 * v6 + v0 * u6)
+    q1 = u3 * v5 + v3 * u5 - (u1 * v7 + v1 * u7)
+    p2, q2 = v2 * v4 - v0 * v6, v3 * v5 - v1 * v7
+    return (s0 * s0 - 4 * p0 * q0,
+            2 * s0 * s1 - 4 * (p0 * q1 + p1 * q0),
+            s1 * s1 + 2 * s0 * s2 - 4 * (p0 * q2 + p1 * q1 + p2 * q0),
+            2 * s1 * s2 - 4 * (p1 * q2 + p2 * q1),
+            s2 * s2 - 4 * p2 * q2)
 
 
 def pencil_clause_forms(phi0, phi1) -> tuple:

@@ -4,9 +4,11 @@ A pencil ``{x phi0 + y phi1}`` is profiled by the homogeneous quartic that
 the GHZ criterion induces in ``(x, y)``: either the quartic is nonzero and
 its at most four projective roots are the only non-GHZ elements, or it
 vanishes identically and the exceptional elements sit at common roots of
-the clause quadratics.  Coefficients are extracted by interpolation at
-fixed integer nodes so a single code path reuses the classifier's
-polynomial kernels and is self-validated by an evaluation identity.
+the clause quadratics.  The quartic is the GHZ criterion S^2 - 4 P Q
+expanded from the bilinear products of the two spanning vectors, and the
+clause forms come from their values at fixed integer nodes: both builders
+(``kernels.pencil_quartic`` and ``kernels.pencil_clause_forms``) use only
+ring operations, so exact mode runs them unchanged.
 """
 
 import cmath
@@ -80,8 +82,13 @@ class QuarticForm(NamedTuple):
         """Whether the largest coefficient vanishes against eps s^4 (s =
         ``amp_scale``) by ``kernels.vanishes``; one in the band leaves the
         generic type undecided and raises :class:`GenericTypeUnstable`."""
-        return kernels.vanishes(max(map(abs, self.c)), eps * self.amp_scale**4, "pencil quartic",
-                                GenericTypeUnstable)
+        return _quartic_vanishes(max(map(abs, self.c)), self.amp_scale, eps)
+
+
+def _quartic_vanishes(top, amp_scale, eps) -> bool:
+    """The test of ``QuarticForm.identically_zero`` on the largest
+    coefficient magnitude ``top``."""
+    return kernels.vanishes(top, eps * amp_scale**4, "pencil quartic", GenericTypeUnstable)
 
 
 class QuadraticForm(NamedTuple):
@@ -182,10 +189,15 @@ def _check_inputs(phi0, phi1):
     When the larger magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``], both vectors are rescaled by the same exact
     power of two, which leaves every point of the pencil in place."""
-    both, top = kernels.windowed(_amps_of(phi0) + _amps_of(phi1))
-    p0, p1 = both[:8], both[8:]
-    s0 = max(map(abs, p0))
-    s1 = top if s0 < top else max(map(abs, p1))
+    p0, p1 = _amps_of(phi0), _amps_of(phi1)
+    try:
+        s0, s1 = max(map(abs, p0)), max(map(abs, p1))
+    except OverflowError:  # a magnitude beyond the float range
+        s0 = s1 = math.inf
+    if not kernels.SCALE_LO <= max(s0, s1) <= kernels.SCALE_HI:
+        both = kernels.windowed(p0 + p1)[0]
+        p0, p1 = both[:8], both[8:]
+        s0, s1 = max(map(abs, p0)), max(map(abs, p1))
     if s0 == 0.0:
         raise ZeroState("phi0 is the zero vector")
     if s1 == 0.0:
@@ -196,9 +208,9 @@ def _check_inputs(phi0, phi1):
 def quartic(phi0, phi1) -> QuarticForm:
     """Quartic form equal to the GHZ criterion of ``x phi0 + y phi1``.
 
-    Coefficients are obtained from evaluations at five fixed nodes; the
-    endpoint coefficients come from (1,0) and (0,1) alone, so the y^4
-    coefficient is exactly the invariant of ``phi1``.  For vectors outside
+    Coefficients are expanded from the bilinear products of the two vectors
+    (``kernels.pencil_quartic``); the x^4 and y^4 coefficients are the GHZ
+    values of ``phi0`` and ``phi1``, to the last bit.  For vectors outside
     the scale window it is the quartic of the rescaled pencil (see
     ``_check_inputs``).
     """
@@ -233,21 +245,22 @@ def _quadratic_formula(a, b, c) -> tuple:
     return (q / a, c / q)
 
 
-def _raw_projective_roots(coeffs: list, eps: float) -> list:
+def _raw_projective_roots(coeffs: list, eps: float, cmax: float = None) -> list:
     """Unclustered projective roots (x, y) of a homogeneous binary form of
-    degree at most four (a list of coefficients, highest power of x first).
+    degree at most four (a list of coefficients, highest power of x first,
+    whose largest magnitude is ``cmax``, found here when not given).
     Leading coefficients within ``eps`` of the largest give roots at
     infinity (1, 0); in a cubic or quartic rest, each exact trailing zero
     gives the root (0, 1), and ``_polynomial_roots`` gives the others."""
-    mags = list(map(abs, coeffs))
-    cmax = max(mags)
+    if cmax is None:
+        cmax = max(map(abs, coeffs))
     if cmax == 0.0:
         raise IdenticallyZero("form has no roots: all coefficients vanish")
     # a sharp test, not kernels.vanishes: a leading coefficient near eps
     # gives a root near (1 : 0) either way, within eps of it, and no class
     # depends on which
     k = 0
-    while k < len(mags) - 1 and mags[k] <= eps * cmax:
+    while k < len(coeffs) - 1 and abs(coeffs[k]) <= eps * cmax:
         k += 1
     tail = coeffs[k:]
     zeros = 0
@@ -418,12 +431,23 @@ def cluster_points(points, radius: float) -> list:
 # 10 cases (median 33 nu), and a triple split by 1e-4 along a line 25 nu or
 # more.  Four roots within about 1e-3 of each other stay partly out of
 # reach: their quartic can lie within nu of 2+2 and 3+1 quartics.
-# Each of these quantities is decided by kernels.vanishes against its bound.
-# nu: ``analyze_span`` passes the quartic of two unit vectors (magnitudes
-# at most 1).  kernels.ghz on a row of magnitudes <= A is off by at most
-# 424 u A^4 (u = 2^-53), forming the rows at the nodes adds 128 u A^4, and
-# with A = 1, 1, 2, 2, 3 at the five nodes the interpolation makes that at
-# most about 3.5e4 u in every coefficient, below _NOISE = 2^-37 (6.6e4 u).
+# Each of these quantities is decided by kernels.vanishes against its bound;
+# a discriminant that clears ``_disc_screen``, an upper bound of its bound
+# that needs no gradient, is nonzero without forming the gradients.
+# nu: ``analyze_span`` passes the quartic of two unit vectors u = e0 and v =
+# e1, which kernels.pencil_quartic expands as S^2 - 4 P Q with S = s0 x^2 +
+# s1 x y + s2 y^2 and likewise P and Q.  Each of s0, p0, q0 (s2, p2, q2) is
+# a signed sum of products u_i u_j (v_i v_j) over disjoint index pairs, so
+# by Cauchy-Schwarz its terms sum to at most 1/2 in magnitude; s1, p1 and q1
+# sum u_i v_j + v_i u_j over such pairs, at most |u| |v| = 1.  A complex
+# product rounds within sqrt(5) u of its value (u = 2^-53) and a sum within
+# u, so s0 and s2 are off by at most 2.7 u, s1 by 9.3 u, p0, q0, p2 and q2
+# by 1.7 u, p1 and q1 by 5.3 u, and carried through the products and sums
+# of the coefficients that makes at most 13, 69, 117, 69 and 13 u (4 u at
+# most measured on 3000 pairs of unit vectors).  The rounding of e0 and e1
+# themselves, a few u in each component, moves the coefficients by a
+# similar amount.  All of it lies far below _NOISE = 2^-37 (6.6e4 u), which
+# is kept: the ratios measured below were taken against it.
 # Measured on 12000 pencils of SLOCC images of the ten families (rounded
 # inputs included), every test of a true multiple root read at most 2e-2
 # of its bound and every other test at least 3e5 times it; on 6000 Gaussian
@@ -533,6 +557,36 @@ def _double_roots(c, square: bool) -> list:
     return [(a * t - b, b * t + a, m) for t, m in roots]
 
 
+def _disc_bound(c, i, j, nu) -> tuple:
+    """(bound, e_I, e_J): the noise bound of the discriminant 4 I^3 - J^2 of
+    the scaled quartic ``c`` with invariants (I, J), and those of I and J
+    (see the comment above ``_NOISE``)."""
+    c0, c1, c2, c3, c4 = c
+    ai, aj = abs(i), abs(j)
+    grad_i = (12 * c4, -3 * c3, 2 * c2, -3 * c1, 12 * c0)
+    grad_j = (72 * c2 * c4 - 27 * c3 * c3, 9 * c2 * c3 - 54 * c1 * c4,
+              72 * c0 * c4 + 9 * c1 * c3 - 6 * c2 * c2, 9 * c1 * c2 - 54 * c0 * c3,
+              72 * c0 * c2 - 27 * c1 * c1)
+    wi, wj = 12 * i * i, 2 * j
+    e_i = nu * (sum(map(abs, grad_i)) + 16 * nu)
+    e_j = nu * (sum(map(abs, grad_j)) + 411 * nu)
+    bound = (nu * sum([abs(wi * di - wj * dj) for di, dj in zip(grad_i, grad_j)])
+             + nu * nu * (192 * ai * ai + 822 * aj) + 12 * ai * e_i * e_i + 4 * e_i**3
+             + e_j * e_j + 2.0**-40 * (ai * ai + aj))
+    return bound, e_i, e_j
+
+
+def _disc_screen(ai, aj, nu) -> float:
+    """Twice an upper bound of the bound of ``_disc_bound`` that needs no
+    gradient, for a scaled quartic (every |c_k| < 1) with |I| = ``ai`` and
+    |J| = ``aj``: there the gradient sums of I and J are at most 32 and 411,
+    so e_I <= 32 g and e_J <= 411 g with g = nu (1 + nu).  The factor 2 keeps
+    it above the precise bound through the rounding of both."""
+    g = nu * (1 + nu)
+    return 2 * (g * (384 * ai * ai + 822 * aj) + g * g * (12288 * ai + 131072 * g + 168921)
+                + 2.0**-40 * (ai * ai + aj))
+
+
 def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     """All projective roots of the quartic, multiplicities summing to 4.
 
@@ -550,25 +604,20 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     reported in the coordinates of the pencil of phi0 and phi1 (see
     :class:`QuarticForm`).
     """
-    if q.identically_zero(eps):
+    top = max(map(abs, q.c))
+    if _quartic_vanishes(top, q.amp_scale, eps):
         raise IdenticallyZero("quartic vanishes identically")
-    c = list(map(complex, q.c))
-    scale = 2.0 ** -math.frexp(max(map(abs, c)))[1]
-    c0, c1, c2, c3, c4 = c = [z * scale for z in c]
+    scale = 2.0 ** -math.frexp(top)[1]
+    c = [complex(z) * scale for z in q.c]
     nu = _NOISE * q.amp_scale**4 * scale * _gain(q.scales)
     i, j = kernels.quartic_invariants(*c)
-    grad_i = (12 * c4, -3 * c3, 2 * c2, -3 * c1, 12 * c0)
-    grad_j = (72 * c2 * c4 - 27 * c3 * c3, 9 * c2 * c3 - 54 * c1 * c4,
-              72 * c0 * c4 + 9 * c1 * c3 - 6 * c2 * c2, 9 * c1 * c2 - 54 * c0 * c3,
-              72 * c0 * c2 - 27 * c1 * c1)
-    ai, aj, wi, wj = abs(i), abs(j), 12 * i * i, 2 * j
-    e_i = nu * (sum(map(abs, grad_i)) + 16 * nu)
-    e_j = nu * (sum(map(abs, grad_j)) + 411 * nu)
-    disc_bound = (nu * sum([abs(wi * di - wj * dj) for di, dj in zip(grad_i, grad_j)])
-                  + nu * nu * (192 * ai * ai + 822 * aj) + 12 * ai * e_i * e_i + 4 * e_i**3
-                  + e_j * e_j + 2.0**-40 * (ai * ai + aj))
-    if not kernels.vanishes(abs(4 * i**3 - j * j), disc_bound, "quartic discriminant"):
-        roots = _raw_projective_roots(c, eps)
+    ai, aj, disc = abs(i), abs(j), abs(4 * i**3 - j * j)
+    # a clear discriminant needs no gradient
+    clear = disc >= kernels.BAND * _disc_screen(ai, aj, nu)
+    if not clear:
+        disc_bound, e_i, e_j = _disc_bound(c, i, j, nu)
+    if clear or not kernels.vanishes(disc, disc_bound, "quartic discriminant"):
+        roots = _raw_projective_roots(c, eps, top * scale)
         if roots[1][1] == 0:
             raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
         return [_pencil_point(q.scales, x, y) for x, y in roots]

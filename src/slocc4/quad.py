@@ -128,12 +128,21 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
     return None, state
 
 
-def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
-    """Decision table on a span profile, in the least-entanglement order."""
-    sep_points = sum(cls == TriClass.SEP000 for _, cls in profile.exceptional)
-    cuts = profile.bisep_cuts
-    generic_ghz = profile.ghz_generic
-    generic_w = profile.generic_type == TriClass.W
+# the members as module constants: a ``TriClass.X`` lookup costs about ten
+# times a global one
+_SEP000, _W, _GHZ = TriClass.SEP000, TriClass.W, TriClass.GHZ
+
+
+def _decide(profile: SpanProfile, distinguished: int, classes: list = None) -> QuadClass:
+    """Decision table on a span profile, in the least-entanglement order;
+    ``classes`` are those of its exceptional points, read here when not
+    given."""
+    if classes is None:
+        classes = [cls for _, cls in profile.exceptional]
+    sep_points = classes.count(_SEP000)
+    cuts = sorted(cls.cut for cls in classes if cls.cut is not None)
+    generic_ghz = profile.generic_type is _GHZ
+    generic_w = profile.generic_type is _W
 
     if not generic_ghz and not generic_w:
         raise InternalContradiction(
@@ -166,7 +175,7 @@ def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
         return verdict(QuadTag.W0KPSI_W, cuts)
     # no separable points of any kind
     if generic_ghz:
-        if not profile.w_points:
+        if _W not in classes:
             raise InternalContradiction(
                 "GHZ-generic pencil without W or separable exceptional points; "
                 "the all-GHZ span is provably empty"
@@ -209,10 +218,11 @@ def classify4(
         # state within sqrt(eps) of one with a separable qubit
         raise AmbiguousClassification(f"qubit {distinguished} has rank 2 but a 1-dimensional "
                                       "residual pencil within eps (near-separable)") from exc
-    if profile.ghz_generic and TriClass.GHZ in [cls for _, cls in profile.exceptional]:
+    classes = [cls for _, cls in profile.exceptional]
+    if profile.generic_type is _GHZ and _GHZ in classes:
         raise AmbiguousClassification("a root of the pencil quartic classifies as GHZ: the "
                                       "pencil is too badly conditioned to place it")
-    return _decide(profile, distinguished)
+    return _decide(profile, distinguished, classes)
 
 
 def _canonical_label(verdicts) -> str:

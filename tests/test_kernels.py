@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slocc4 import AmbiguousClassification, TriClass, kernels
+from slocc4.exact import lift
 from slocc4.oracle import _hyperdet_batch, rank_codes_batch
 from slocc4.tri import classify3_batch
 
@@ -158,3 +159,32 @@ def test_hyperdeterminant_equals_ghz_invariant():
 def test_rank_codes_zero_row():
     a = np.zeros((1, 8), dtype=complex)
     assert rank_codes_batch(a)[0] == 0
+
+
+def _quartic_at(c, x, y):
+    """c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4."""
+    terms = [ck * (x ** (4 - k) * y**k) for k, ck in enumerate(c)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def test_pencil_quartic_is_the_ghz_criterion_of_the_pencil():
+    # exact: the quartic agrees with the GHZ criterion of the pencil element
+    # at seven projective points, and five already fix a binary quartic
+    rng = np.random.default_rng(17)
+    nodes = kernels.NODES + ((2, 1), (3, -2))
+    for _ in range(50):
+        u, v = (lift((rng.integers(-64, 65, 8) + 1j * rng.integers(-64, 65, 8)) / 2.0**rng.integers(0, 9))
+                for _ in range(2))
+        c = kernels.pencil_quartic(u, v)
+        for x, y in nodes:
+            assert _quartic_at(c, x, y) == kernels.ghz(*[x * a + y * b for a, b in zip(u, v)])
+    # float: the end coefficients are the GHZ values of the two vectors, to
+    # the last bit
+    for _ in range(200):
+        phi0, phi1 = (tuple(map(complex, rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+                      for _ in range(2))
+        c = kernels.pencil_quartic(phi0, phi1)
+        assert c[0] == kernels.ghz(*phi0) and c[4] == kernels.ghz(*phi1)

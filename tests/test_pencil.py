@@ -1,5 +1,5 @@
 import zlib
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from slocc4 import (
     quartic_roots,
 )
 from slocc4.canonical import FamilySpec, canonical_pencil, okpsi_w_phi0, ww_phi0
-from slocc4 import pencil
+from slocc4 import kernels, pencil
 from slocc4.exact import lift
 from slocc4.pencil import QuadraticForm, QuarticForm, cluster_points, common_roots
 from slocc4.qstate import DEFAULT_EPS, PureState
@@ -366,6 +366,40 @@ class TestClosedFormRoots:
         for c in rng.standard_normal((2000, 5)):
             got = pencil._polynomial_roots([complex(z) for z in c])
             assert_within_condition(got, np.roots(c), c)
+
+
+def _scaled(c):
+    """``c`` times the power of two that brings max |c_k| into [0.5, 1), as
+    ``quartic_roots`` scales a quartic."""
+    c = [complex(z) for z in c]
+    scale = 2.0 ** -np.frexp(max(map(abs, c)))[1]
+    return [z * scale for z in c]
+
+
+def _screen_cases():
+    rng = np.random.default_rng(22)
+    for c in gaussian(rng, 300, 5):
+        yield _scaled(c)
+    # every |c_k| = 1: all phases from the fourth roots of unity, and random ones
+    for signs in product((1, 1j, -1, -1j), repeat=5):
+        yield list(signs)
+    for phases in rng.uniform(0, 2 * np.pi, (300, 5)):
+        yield list(np.exp(1j * phases))
+    for roots, _ in PATTERNS.values():
+        yield _scaled(form_with_roots(roots))
+        yield _scaled(noisy(form_with_roots(roots), pencil._NOISE, 5))
+
+
+@pytest.mark.parametrize("nu", [pencil._NOISE, pencil._NOISE * 2.0**30, 2.0**-10, 1.0])
+def test_discriminant_screen_bounds_the_precise_bound(nu):
+    # the screen decides a clear discriminant only where the precise bound
+    # would: it is at least that bound (with its factor 2 for rounding), and
+    # half of it still is, up to rounding, which checks its derivation
+    for c in _screen_cases():
+        i, j = kernels.quartic_invariants(*c)
+        screen = pencil._disc_screen(abs(i), abs(j), nu)
+        bound = pencil._disc_bound(c, i, j, nu)[0]
+        assert screen >= bound and screen / 2 >= bound * (1 - 2.0**-40)
 
 
 def test_float_path_needs_no_eigenvalue_solver(monkeypatch, canonical_states):
