@@ -230,14 +230,9 @@ def tri_code(row, eps) -> TriClass:
     """Class of one row of 8 numbers: GHZ unless its GHZ value vanishes
     against eps s^4, else ``clause_class`` of the clause truths against
     eps s^2 (s the largest magnitude of the row)."""
-    try:
-        scale = max(map(abs, row))
-    except OverflowError:  # ``windowed`` takes the scale from the parts
-        scale = math.inf
-    if not SCALE_LO <= scale <= SCALE_HI:
-        row, scale = windowed(row)
-        if scale == 0.0:
-            return _ZERO
+    row, scale = windowed(row)
+    if scale == 0.0:
+        return _ZERO
     value, bound4 = abs(ghz(*row)), eps * scale**4
     # the band of ``vanishes``, tested inline: only a value inside it calls
     # ``vanishes``, which raises

@@ -82,13 +82,8 @@ class QuarticForm(NamedTuple):
         """Whether the largest coefficient vanishes against eps s^4 (s =
         ``amp_scale``) by ``kernels.vanishes``; one in the band leaves the
         generic type undecided and raises :class:`GenericTypeUnstable`."""
-        return _quartic_vanishes(max(map(abs, self.c)), self.amp_scale, eps)
-
-
-def _quartic_vanishes(top, amp_scale, eps) -> bool:
-    """The test of ``QuarticForm.identically_zero`` on the largest
-    coefficient magnitude ``top``."""
-    return kernels.vanishes(top, eps * amp_scale**4, "pencil quartic", GenericTypeUnstable)
+        return kernels.vanishes(max(map(abs, self.c)), eps * self.amp_scale**4, "pencil quartic",
+                                GenericTypeUnstable)
 
 
 class QuadraticForm(NamedTuple):
@@ -189,15 +184,10 @@ def _check_inputs(phi0, phi1):
     When the larger magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``], both vectors are rescaled by the same exact
     power of two, which leaves every point of the pencil in place."""
-    p0, p1 = _amps_of(phi0), _amps_of(phi1)
-    try:
-        s0, s1 = max(map(abs, p0)), max(map(abs, p1))
-    except OverflowError:  # a magnitude beyond the float range
-        s0 = s1 = math.inf
-    if not kernels.SCALE_LO <= max(s0, s1) <= kernels.SCALE_HI:
-        both = kernels.windowed(p0 + p1)[0]
-        p0, p1 = both[:8], both[8:]
-        s0, s1 = max(map(abs, p0)), max(map(abs, p1))
+    both, top = kernels.windowed(_amps_of(phi0) + _amps_of(phi1))
+    p0, p1 = both[:8], both[8:]
+    s0 = max(map(abs, p0))
+    s1 = top if s0 < top else max(map(abs, p1))
     if s0 == 0.0:
         raise ZeroState("phi0 is the zero vector")
     if s1 == 0.0:
@@ -245,22 +235,21 @@ def _quadratic_formula(a, b, c) -> tuple:
     return (q / a, c / q)
 
 
-def _raw_projective_roots(coeffs: list, eps: float, cmax: float = None) -> list:
+def _raw_projective_roots(coeffs: list, eps: float) -> list:
     """Unclustered projective roots (x, y) of a homogeneous binary form of
-    degree at most four (a list of coefficients, highest power of x first,
-    whose largest magnitude is ``cmax``, found here when not given).
+    degree at most four (a list of coefficients, highest power of x first).
     Leading coefficients within ``eps`` of the largest give roots at
     infinity (1, 0); in a cubic or quartic rest, each exact trailing zero
     gives the root (0, 1), and ``_polynomial_roots`` gives the others."""
-    if cmax is None:
-        cmax = max(map(abs, coeffs))
+    mags = list(map(abs, coeffs))
+    cmax = max(mags)
     if cmax == 0.0:
         raise IdenticallyZero("form has no roots: all coefficients vanish")
     # a sharp test, not kernels.vanishes: a leading coefficient near eps
     # gives a root near (1 : 0) either way, within eps of it, and no class
     # depends on which
     k = 0
-    while k < len(coeffs) - 1 and abs(coeffs[k]) <= eps * cmax:
+    while k < len(mags) - 1 and mags[k] <= eps * cmax:
         k += 1
     tail = coeffs[k:]
     zeros = 0
@@ -604,11 +593,11 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     reported in the coordinates of the pencil of phi0 and phi1 (see
     :class:`QuarticForm`).
     """
-    top = max(map(abs, q.c))
-    if _quartic_vanishes(top, q.amp_scale, eps):
+    if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
-    scale = 2.0 ** -math.frexp(top)[1]
-    c = [complex(z) * scale for z in q.c]
+    c = list(map(complex, q.c))
+    scale = 2.0 ** -math.frexp(max(map(abs, c)))[1]
+    c = [z * scale for z in c]
     nu = _NOISE * q.amp_scale**4 * scale * _gain(q.scales)
     i, j = kernels.quartic_invariants(*c)
     ai, aj, disc = abs(i), abs(j), abs(4 * i**3 - j * j)
@@ -617,7 +606,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     if not clear:
         disc_bound, e_i, e_j = _disc_bound(c, i, j, nu)
     if clear or not kernels.vanishes(disc, disc_bound, "quartic discriminant"):
-        roots = _raw_projective_roots(c, eps, top * scale)
+        roots = _raw_projective_roots(c, eps)
         if roots[1][1] == 0:
             raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
         return [_pencil_point(q.scales, x, y) for x, y in roots]

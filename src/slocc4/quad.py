@@ -133,15 +133,11 @@ def _degenerate_screen(state: PureState, eps: float, exact: bool):
 _SEP000, _W, _GHZ = TriClass.SEP000, TriClass.W, TriClass.GHZ
 
 
-def _decide(profile: SpanProfile, distinguished: int, classes: list = None) -> QuadClass:
-    """Decision table on a span profile, in the least-entanglement order;
-    ``classes`` are those of its exceptional points, read here when not
-    given."""
-    if classes is None:
-        classes = [cls for _, cls in profile.exceptional]
-    sep_points = classes.count(_SEP000)
-    cuts = sorted(cls.cut for cls in classes if cls.cut is not None)
-    generic_ghz = profile.generic_type is _GHZ
+def _decide(profile: SpanProfile, distinguished: int) -> QuadClass:
+    """Decision table on a span profile, in the least-entanglement order."""
+    sep_points = sum(cls is _SEP000 for _, cls in profile.exceptional)
+    cuts = profile.bisep_cuts
+    generic_ghz = profile.ghz_generic
     generic_w = profile.generic_type is _W
 
     if not generic_ghz and not generic_w:
@@ -175,7 +171,7 @@ def _decide(profile: SpanProfile, distinguished: int, classes: list = None) -> Q
         return verdict(QuadTag.W0KPSI_W, cuts)
     # no separable points of any kind
     if generic_ghz:
-        if _W not in classes:
+        if not profile.w_points:
             raise InternalContradiction(
                 "GHZ-generic pencil without W or separable exceptional points; "
                 "the all-GHZ span is provably empty"
@@ -218,11 +214,10 @@ def classify4(
         # state within sqrt(eps) of one with a separable qubit
         raise AmbiguousClassification(f"qubit {distinguished} has rank 2 but a 1-dimensional "
                                       "residual pencil within eps (near-separable)") from exc
-    classes = [cls for _, cls in profile.exceptional]
-    if profile.generic_type is _GHZ and _GHZ in classes:
+    if profile.ghz_generic and _GHZ in [cls for _, cls in profile.exceptional]:
         raise AmbiguousClassification("a root of the pencil quartic classifies as GHZ: the "
                                       "pencil is too badly conditioned to place it")
-    return _decide(profile, distinguished, classes)
+    return _decide(profile, distinguished)
 
 
 def _canonical_label(verdicts) -> str:
