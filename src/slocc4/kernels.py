@@ -3,18 +3,20 @@
 The classifier works on one to five rows at a time, where numpy's
 per-call dispatch (and its import) would cost more than the arithmetic, so
 every kernel runs one row at a time in Python complex arithmetic.  The
-``*_batch`` kernels and ``pencil_elements`` loop over the rows of any
-sequence of rows (lists, tuples or a 2-D array) and return lists.
+``*_batch`` kernels loop over the rows of any sequence of rows (lists,
+tuples or a 2-D array) and return lists, and ``pencil_elements`` forms the
+rows of a pencil at given points, the only place they are formed.
 
-The formulas themselves (``ghz``, ``clauses``, ``quadratic_coefficients``,
-``resultant``, ``hessian``, ``quartic_invariants``, and the pencil forms:
-``pencil_quartic``, expanded from bilinear products, and
-``pencil_clause_forms`` at the integer ``NODES``) use only ring operations
-and integer constants, so the same functions also evaluate the Gaussian
-dyadic numbers of :mod:`slocc4.exact`, which is how exact mode decides its
-identities; ``quartic_coefficients`` divides by 2 and 6 and serves float
-mode only.  Both modes name a 3-qubit class by a :class:`TriClass` member,
-read off the clause truths by ``clause_class``.
+The formulas themselves (``ghz``, ``clauses``, ``resultant``, ``hessian``,
+``quartic_invariants``, and the pencil forms) use only ring operations and
+integer constants, so the same functions also evaluate the Gaussian dyadic
+numbers of :mod:`slocc4.exact`, which is how exact mode decides its
+identities.  Every pencil form is built by one kernel, ``pencil_minor``: a
+2x2 minor of ``x u + y v`` is the binary quadratic with the minors of u and
+v at x^2 and y^2 and their polarization at x y.  ``pencil_clause_forms``
+is the six clause minors, and ``pencil_quartic`` is S^2 - 4 P Q with P and
+Q the minors of clause pair 3.  Both modes name a 3-qubit class by a
+:class:`TriClass` member, read off the clause truths by ``clause_class``.
 
 Float decisions "is this value zero" follow one rule, ``vanishes``: a value
 at or below its bound is zero, one at or above ``BAND`` times the bound is
@@ -126,30 +128,6 @@ def clauses(a0, a1, a2, a3, a4, a5, a6, a7):
     )
 
 
-#: Interpolation nodes (x, y) of ``quartic_coefficients``; the first three
-#: are those of ``quadratic_coefficients``.
-NODES = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
-
-
-def quartic_coefficients(t10, t01, t11, t1m, t12):
-    """Coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of a binary quartic
-    from its values at the five ``NODES``."""
-    u = t11 - t10 - t01
-    v = t1m - t10 - t01
-    w = t12 - t10 - 16 * t01
-    c2 = (u + v) / 2
-    c3 = (w - 3 * u - v) / 6
-    c1 = (u - v) / 2 - c3
-    return (t10, c1, c2, c3, t01)
-
-
-def quadratic_coefficients(t10, t01, t11):
-    """Coefficients (alpha, beta, gamma) of a binary quadratic
-    alpha x^2 + beta x y + gamma y^2 from its values at the first three
-    ``NODES``."""
-    return (t10, t11 - t10 - t01, t01)
-
-
 def resultant(f, g):
     """Resultant of two binary quadratics (alpha, beta, gamma); zero iff
     they share a projective root."""
@@ -252,21 +230,32 @@ def pencil_elements(phi0, phi1, xy) -> list:
     return [[x * a + y * b for a, b in pairs] for x, y in xy]
 
 
+#: The six clause quantities of ``clauses`` as minors a_i a_j - a_k a_l,
+#: (i, j, k, l) in their order.
+_CLAUSE_MINORS = ((0, 3, 1, 2), (5, 6, 4, 7), (1, 4, 0, 5), (3, 6, 2, 7), (3, 5, 1, 7), (2, 4, 0, 6))
+
+
+def pencil_minor(u, v, i, j, k, l) -> tuple:
+    """The minor a_i a_j - a_k a_l of ``x u + y v`` as a binary quadratic
+    (x^2, x y, y^2): the minors of u and of v and their polarization."""
+    return (u[i] * u[j] - u[k] * u[l],
+            u[i] * v[j] + v[i] * u[j] - (u[k] * v[l] + v[k] * u[l]),
+            v[i] * v[j] - v[k] * v[l])
+
+
 def pencil_quartic(phi0, phi1) -> tuple:
     """Coefficients (x^4, x^3 y, x^2 y^2, x y^3, y^4) of the GHZ criterion
-    S^2 - 4 P Q of ``x phi0 + y phi1`` (see ``ghz``), with S, P and Q
-    expanded as binary quadratics from the bilinear products of phi0 and
-    phi1.  The x^4 and y^4 coefficients are ``ghz`` of phi0 and of phi1, to
-    the last bit."""
+    S^2 - 4 P Q of ``x phi0 + y phi1`` (see ``ghz``): P and Q are the minors
+    of clause pair 3 (``pencil_minor``) and S, the sum of two minors, is
+    expanded the same way.  The x^4 and y^4 coefficients are ``ghz`` of phi0
+    and of phi1, to the last bit."""
     u0, u1, u2, u3, u4, u5, u6, u7 = phi0
     v0, v1, v2, v3, v4, v5, v6, v7 = phi1
     s0 = u0 * u7 - u2 * u5 + u1 * u6 - u3 * u4
     s1 = u0 * v7 + v0 * u7 - (u2 * v5 + v2 * u5) + (u1 * v6 + v1 * u6) - (u3 * v4 + v3 * u4)
     s2 = v0 * v7 - v2 * v5 + v1 * v6 - v3 * v4
-    p0, q0 = u2 * u4 - u0 * u6, u3 * u5 - u1 * u7
-    p1 = u2 * v4 + v2 * u4 - (u0 * v6 + v0 * u6)
-    q1 = u3 * v5 + v3 * u5 - (u1 * v7 + v1 * u7)
-    p2, q2 = v2 * v4 - v0 * v6, v3 * v5 - v1 * v7
+    q0, q1, q2 = pencil_minor(phi0, phi1, *_CLAUSE_MINORS[4])
+    p0, p1, p2 = pencil_minor(phi0, phi1, *_CLAUSE_MINORS[5])
     return (s0 * s0 - 4 * p0 * q0,
             2 * s0 * s1 - 4 * (p0 * q1 + p1 * q0),
             s1 * s1 + 2 * s0 * s2 - 4 * (p0 * q2 + p1 * q1 + p2 * q0),
@@ -276,6 +265,5 @@ def pencil_quartic(phi0, phi1) -> tuple:
 
 def pencil_clause_forms(phi0, phi1) -> tuple:
     """The six clause quantities of ``x phi0 + y phi1`` as binary quadratics
-    (alpha, beta, gamma) (``quadratic_coefficients``)."""
-    q = clause_quantities_batch(pencil_elements(phi0, phi1, NODES[:3]))
-    return tuple(quadratic_coefficients(*values) for values in zip(*q))
+    (alpha, beta, gamma) (``pencil_minor``)."""
+    return tuple(pencil_minor(phi0, phi1, *m) for m in _CLAUSE_MINORS)

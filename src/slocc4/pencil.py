@@ -4,11 +4,12 @@ A pencil ``{x phi0 + y phi1}`` is profiled by the homogeneous quartic that
 the GHZ criterion induces in ``(x, y)``: either the quartic is nonzero and
 its at most four projective roots are the only non-GHZ elements, or it
 vanishes identically and the exceptional elements sit at common roots of
-the clause quadratics.  The quartic is the GHZ criterion S^2 - 4 P Q
-expanded from the bilinear products of the two spanning vectors, and the
-clause forms come from their values at fixed integer nodes: both builders
-(``kernels.pencil_quartic`` and ``kernels.pencil_clause_forms``) use only
-ring operations, so exact mode runs them unchanged.
+the clause quadratics.  Both come from one kernel, ``kernels.pencil_minor``,
+which writes a 2x2 minor of the pencil element as a binary quadratic: the
+clause forms are the six clause minors, and the quartic is the GHZ
+criterion S^2 - 4 P Q over the minors P and Q of clause pair 3.  It uses
+only ring operations, so exact mode runs it unchanged.  Pencil rows are
+formed only by ``kernels.pencil_elements``, at the candidate points.
 """
 
 import cmath
@@ -100,9 +101,6 @@ class QuadraticForm(NamedTuple):
     amp_scale: float
     exact: tuple = None
     scales: tuple = (1.0, 0.0, 1.0)
-
-    def evaluate(self, x, y) -> complex:
-        return self.c[0] * x * x + self.c[1] * x * y + self.c[2] * y * y
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """Exactly in exact mode, else whether the largest coefficient
@@ -454,10 +452,12 @@ def cluster_points(points, radius: float) -> list:
 # squared) shrinks the true value of a degree-d invariant by up to k^d
 # against max |c_i|^d while nu stays, so a pencil of two nearly parallel
 # vectors with simple roots would reach the band and raise.
-# Clause forms: each clause quantity is a 2x2 minor of a row of magnitudes
-# <= A (2 A at the node (1, 1)), so with the forming of that row each
-# coefficient of a clause form is off by at most about 80 u A^2, and every
-# coefficient may carry e = _CLAUSE_NOISE A^2 (512 u A^2) times the gain.
+# Clause forms: kernels.pencil_minor gives each coefficient as a 2x2 minor
+# of u or of v, components of magnitude <= A, or as its polarization, a
+# signed sum of four such products, so it is off by at most 17 u A^2 (3.5 u
+# A^2 at most measured on 3000 pairs of orthonormal vectors).  Every
+# coefficient may carry e = _CLAUSE_NOISE A^2 (512 u A^2) times the gain, an
+# upper bound that is kept because the ratios below were taken against it.
 # Then b^2 - 4 a c moves by at most e (10 m + 5 e), m the largest coefficient
 # magnitude, and its own rounding adds at most 2^-47 m^2.  Measured on the
 # 12000 pencils above and on 800 condition-1e3 images of W0kPsi_W at lambda
@@ -482,13 +482,19 @@ def _pencil_point(scales, x, y, multiplicity=1) -> ProjectivePoint:
     return ProjectivePoint(scales[0] * x + scales[1] * y, scales[2] * y, multiplicity)
 
 
+def _times(p, l0, l1) -> list:
+    """Coefficients (highest power of x first) of the binary form p times the
+    linear form l0 x + l1 y."""
+    return [l0 * a + l1 * b for a, b in zip(p + [0j], [0j] + p)]
+
+
 def _fitted(c, roots, nu) -> list:
     """The placed roots (x, y, multiplicity) of a multiple pattern, once they
     reproduce the quartic (see the comment above ``_NOISE``)."""
     p = [1.0 + 0j]
     for x, y, m in roots:
-        for _ in range(m):  # times (y X - x Y)
-            p = [a * y - b * x for a, b in zip(p + [0j], [0j] + p)]
+        for _ in range(m):
+            p = _times(p, y, -x)
     lam = sum(a.conjugate() * b for a, b in zip(p, c)) / sum(abs(a) ** 2 for a in p)
     if kernels.vanishes(max(abs(b - lam * a) for a, b in zip(p, c)), _FIT * nu, "quartic root fit"):
         return roots
@@ -527,11 +533,15 @@ def _double_roots(c, square: bool) -> list:
     g(t, 1) = f(a t - b, b t + a), g's leading coefficient is f(a, b).  For
     a square, g / g0 = (t^2 + p t + r)^2; otherwise the double root d is the
     root of the linear gcd of g(t, 1) and its derivative, and deflating
-    (t - d)^2 leaves the quadratic of the simple roots."""
+    (t - d)^2 leaves the quadratic of the simple roots.  g is formed by
+    Horner's rule on the linear forms a t - b and b t + a."""
     f = QuarticForm(c, 1.0).evaluate
     a, b = max(_ANCHORS, key=lambda ab: abs(f(*ab)))
-    g0, g1, g2, g3, g4 = kernels.quartic_coefficients(*(f(a * u - b * v, b * u + a * v)
-                                                        for u, v in kernels.NODES))
+    g, power = [c[0]], [1.0]
+    for ck in c[1:]:  # g X + ck Y^k, X = a t - b and Y = b t + a
+        power = _times(power, b, a)
+        g = [s + ck * t for s, t in zip(_times(g, a, -b), power)]
+    g0, g1, g2, g3, g4 = g
     if square:
         p = g1 / (2 * g0)
         roots = [(t, 2) for t in _quadratic_formula(1, p, (g2 / g0 - p * p) / 2)]
@@ -705,37 +715,36 @@ class _ExactContext:
         self.p0 = exact.lift(p0)
         self.p1 = exact.lift(p1)
 
-    def classify_point(self, pt: ProjectivePoint):
-        """Snap a float projective point to Gaussian rationals and classify
-        the pencil element there exactly: with (num : den) the snap of x / y,
-        the element num p0 + den p1, or with that of y / x, den p0 + num p1."""
+    def snapped(self, pt: ProjectivePoint) -> tuple:
+        """A float projective point (x : y) snapped to Gaussian rationals:
+        (num : den) with (num, den) the snap of x / y, or (den : num) with
+        that of y / x, in the chart of the larger coordinate."""
         if abs(pt.y) >= abs(pt.x):
-            p, q, z = self.p0, self.p1, pt.x / pt.y
-        else:
-            p, q, z = self.p1, self.p0, pt.y / pt.x
-        num, den = self.exact.snap_complex(z)
-        return classify3_exact_amps(tuple(num * a + den * b for a, b in zip(p, q)))
+            return self.exact.snap_complex(pt.x / pt.y)
+        num, den = self.exact.snap_complex(pt.y / pt.x)
+        return den, num
 
 
 def _classes(b0, b1, points, mapped, generic, eps, ctx) -> list:
     """The class to record at each candidate point (x : y) of ``points``:
-    classify3 of the row x b0 + y b1, formed in Python.
+    classify3 of the row x b0 + y b1 (``kernels.pencil_elements``).
 
     In exact mode (``ctx`` given) the exact class at the snapped point
-    (``mapped``, the same points in the coordinates of the lifted vectors)
-    is recorded when it differs from ``generic``, and a float value in the
-    band at such a point does not count: when the rows raise together, only
-    the rows whose exact class is generic are classified again.  Exact
+    (``mapped``, the same points in the coordinates of the lifted vectors,
+    snapped by ``ctx.snapped``) is recorded when it differs from
+    ``generic``, and a float value in the band at such a point does not
+    count: when the rows raise together, only the rows whose exact class is
+    generic are classified again.  Exact
     arithmetic may sharpen a verdict (certify the point as exceptional) but
     never erases numerically detected structure: an irrational point, or
     float noise that pushes the input off the exact variety, leaves the
     exact class generic and the float class stands.
     """
-    pairs = list(zip(b0, b1))
-    rows = [[pt.x * a + pt.y * b for a, b in pairs] for pt in points]
+    rows = kernels.pencil_elements(b0, b1, [(pt.x, pt.y) for pt in points])
     if ctx is None:
         return classify3_batch(rows, eps)
-    exact = [ctx.classify_point(pt) for pt in mapped]
+    exact_rows = kernels.pencil_elements(ctx.p0, ctx.p1, map(ctx.snapped, mapped))
+    exact = [classify3_exact_amps(row) for row in exact_rows]
     try:
         floats = classify3_batch(rows, eps)
     except AmbiguousClassification:

@@ -170,14 +170,17 @@ def _quartic_at(c, x, y):
     return total
 
 
+def _dyadic_vector(rng):
+    return lift((rng.integers(-64, 65, 8) + 1j * rng.integers(-64, 65, 8)) / 2.0**rng.integers(0, 9))
+
+
 def test_pencil_quartic_is_the_ghz_criterion_of_the_pencil():
     # exact: the quartic agrees with the GHZ criterion of the pencil element
     # at seven projective points, and five already fix a binary quartic
     rng = np.random.default_rng(17)
-    nodes = kernels.NODES + ((2, 1), (3, -2))
+    nodes = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (3, -2))
     for _ in range(50):
-        u, v = (lift((rng.integers(-64, 65, 8) + 1j * rng.integers(-64, 65, 8)) / 2.0**rng.integers(0, 9))
-                for _ in range(2))
+        u, v = _dyadic_vector(rng), _dyadic_vector(rng)
         c = kernels.pencil_quartic(u, v)
         for x, y in nodes:
             assert _quartic_at(c, x, y) == kernels.ghz(*[x * a + y * b for a, b in zip(u, v)])
@@ -188,3 +191,21 @@ def test_pencil_quartic_is_the_ghz_criterion_of_the_pencil():
                       for _ in range(2))
         c = kernels.pencil_quartic(phi0, phi1)
         assert c[0] == kernels.ghz(*phi0) and c[4] == kernels.ghz(*phi1)
+
+
+def test_pencil_clause_forms_are_the_clause_quantities_of_the_pencil():
+    # exact: the clause quantities of the rows at the nodes (1, 0), (0, 1)
+    # and (1, 1) fix each binary quadratic as (t10, t11 - t10 - t01, t01)
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        u, v = _dyadic_vector(rng), _dyadic_vector(rng)
+        t10, t01, t11 = (kernels.clauses(*[x * a + y * b for a, b in zip(u, v)])
+                         for x, y in ((1, 0), (0, 1), (1, 1)))
+        assert kernels.pencil_clause_forms(u, v) == tuple((a, c - a - b, b) for a, b, c in zip(t10, t01, t11))
+    # float: the x^2 and y^2 coefficients are the clause quantities of the
+    # two vectors, to the last bit, which pins the minors to ``clauses``
+    for _ in range(200):
+        u, v = (tuple(map(complex, rng.standard_normal(8) + 1j * rng.standard_normal(8))) for _ in range(2))
+        forms = kernels.pencil_clause_forms(u, v)
+        assert tuple(f[0] for f in forms) == kernels.clauses(*u)
+        assert tuple(f[2] for f in forms) == kernels.clauses(*v)

@@ -446,7 +446,8 @@ class TestClauseQuadratics:
         for x, y in rng.standard_normal((10, 2)):
             quantities = w_clauses(x * phi0 + y * phi1).quantities
             for form, q in zip(forms, quantities):
-                assert abs(form.evaluate(x, y) - q) <= 1e-10 * max(abs(q), 1.0)
+                c0, c1, c2 = form.c
+                assert abs(c0 * x * x + c1 * x * y + c2 * y * y - q) <= 1e-10 * max(abs(q), 1.0)
 
 
 class TestCommonRoots:
