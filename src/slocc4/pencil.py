@@ -8,8 +8,11 @@ the clause quadratics.  Both come from one kernel, ``kernels.pencil_minor``,
 which writes a 2x2 minor of the pencil element as a binary quadratic: the
 clause forms are the six clause minors, and the quartic is the GHZ
 criterion S^2 - 4 P Q over the minors P and Q of clause pair 3.  It uses
-only ring operations, so exact mode runs it unchanged.  Pencil rows are
-formed only by ``kernels.pencil_elements``, at the candidate points.
+only ring operations, so exact mode runs it unchanged.  A simple root of a
+nonzero quartic is a W point, certified from its slope where the root
+finder leaves it (``quartic_roots``); pencil rows are formed only by
+``kernels.pencil_elements``, at the candidate points that no certificate
+decides.
 """
 
 import cmath
@@ -63,18 +66,25 @@ class ProjectivePoint:
         return f"ProjectivePoint({self.x:.6g}, {self.y:.6g}, multiplicity={self.multiplicity})"
 
 
+#: The ``scales`` of a form written in phi0 and phi1 themselves.
+_RAW = (1.0, 0.0, 1.0)
+
+_W = TriClass.W
+
+
 class QuarticForm(NamedTuple):
     """Homogeneous quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4.
 
-    ``scales`` = (a, b, c) marks the quartic of the pencil of e0 and e1 with
-    x e0 + y e1 = (a x + b y) phi0 + (c y) phi1: its root (x : y) is the
-    point (a x + b y : c y) of the pencil of phi0 and phi1, where
-    ``quartic_roots`` reports it.
+    ``scales`` = (a, b, c) marks the quartic of the orthonormal basis e0, e1
+    of ``analyze_span``, with x e0 + y e1 = (a x + b y) phi0 + (c y) phi1:
+    its root (x : y) is the point (a x + b y : c y) of the pencil of phi0
+    and phi1, where ``quartic_roots`` reports it.  The default marks the
+    quartic of phi0 and phi1 themselves (``quartic``).
     """
 
     c: tuple
     amp_scale: float
-    scales: tuple = (1.0, 0.0, 1.0)
+    scales: tuple = _RAW
 
     def evaluate(self, x, y) -> complex:
         return sum(ck * x ** (4 - k) * y**k for k, ck in enumerate(self.c))
@@ -100,7 +110,7 @@ class QuadraticForm(NamedTuple):
     c: tuple
     amp_scale: float
     exact: tuple = None
-    scales: tuple = (1.0, 0.0, 1.0)
+    scales: tuple = _RAW
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """Exactly in exact mode, else whether the largest coefficient
@@ -213,7 +223,7 @@ def clause_quadratics(phi0, phi1) -> tuple:
     return _clause_forms(p0, p1, max(s0, s1))
 
 
-def _clause_forms(p0, p1, amp_scale, scales=(1.0, 0.0, 1.0)) -> tuple:
+def _clause_forms(p0, p1, amp_scale, scales=_RAW) -> tuple:
     """The clause forms of checked vectors, grouped into pairs: those of
     ``_check_inputs``, or the orthonormal basis e0, e1 of ``analyze_span``
     with amp_scale 1 (no magnitude of a unit vector exceeds 1) and its
@@ -234,11 +244,13 @@ def _quadratic_formula(a, b, c) -> tuple:
 
 
 def _raw_projective_roots(coeffs: list, eps: float) -> list:
-    """Unclustered projective roots (x, y) of a homogeneous binary form of
-    degree at most four (a list of coefficients, highest power of x first).
-    Leading coefficients within ``eps`` of the largest give roots at
-    infinity (1, 0); in a cubic or quartic rest, each exact trailing zero
-    gives the root (0, 1), and ``_polynomial_roots`` gives the others."""
+    """Unclustered projective roots (x, y, newton) of a homogeneous binary
+    form of degree at most four (a list of coefficients, highest power of x
+    first).  Leading coefficients within ``eps`` of the largest give roots
+    at infinity (1, 0); in a cubic or quartic rest, each exact trailing zero
+    gives the root (0, 1), and ``_polynomial_roots`` gives the others with
+    their ``newton`` values.  Those of the roots at infinity and at zero are
+    None."""
     mags = list(map(abs, coeffs))
     cmax = max(mags)
     if cmax == 0.0:
@@ -254,7 +266,8 @@ def _raw_projective_roots(coeffs: list, eps: float) -> list:
     while len(tail) > 3 and tail[-1] == 0:
         tail.pop()
         zeros += 1
-    return [(1.0, 0.0)] * k + [(r, 1.0) for r in _polynomial_roots(tail)] + [(0j, 1.0)] * zeros
+    return ([(1.0, 0.0, None)] * k + [(r, 1.0, newton) for r, newton in _polynomial_roots(tail)]
+            + [(0j, 1.0, None)] * zeros)
 
 
 #: Cube roots of unity other than 1.
@@ -276,7 +289,8 @@ def _cubic_roots(p, q) -> list:
 
 
 def _polynomial_roots(p) -> list:
-    """Roots of p[0] x^n + .. + p[n] (n <= 4, p[0] != 0) in closed form.
+    """Roots of p[0] x^n + .. + p[n] (n <= 4, p[0] != 0) in closed form, as
+    pairs (root, newton) with ``newton`` as in ``_polished`` (None for n <= 2).
 
     A cubic is depressed and solved by Cardano; a quartic is depressed to
     y^4 + P y^2 + Q y + R and split by Ferrari into the two quadratics
@@ -290,9 +304,9 @@ def _polynomial_roots(p) -> list:
     if n == 0:
         return []
     if n == 1:
-        return [-p[1] / p[0]]
+        return [(-p[1] / p[0], None)]
     if n == 2:
-        return list(_quadratic_formula(*p))
+        return [(x, None) for x in _quadratic_formula(*p)]
     lead = p[0]
     if n == 3:
         a, b, c = p[1] / lead, p[2] / lead, p[3] / lead
@@ -317,13 +331,15 @@ def _polynomial_roots(p) -> list:
 def _polished(p, xs) -> list:
     """The estimates ``xs`` of all roots of p after Aberth-Ehrlich steps on
     p, until every step moves its root by at most 2^-40 of its magnitude
-    (or for 32 rounds).
+    (or for 32 rounds), as pairs (root, newton).
 
     A step is Newton's, f / f', divided by 1 - (f / f') sum_j 1 / (x - x_j)
     unless it is already that small; the sum keeps two estimates from
     converging to the same root.  On estimates within a few units in the
-    last place, one Newton step each ends it."""
+    last place, one Newton step each ends it.  ``newton`` is (f, f') at the
+    point of a root's last step when that step was Newton's, else None."""
     lead, rest = p[0], p[1:]
+    newton = [None] * len(xs)
     for _ in range(32):
         done = True
         for i, x in enumerate(xs):
@@ -332,13 +348,15 @@ def _polished(p, xs) -> list:
                 df = df * x + f
                 f = f * x + a
             w = f / df if df else f
+            newton[i] = (f, df)
             if abs(w) > 2.0**-40 * abs(x):
                 w /= 1 - w * sum(1 / (x - y) for y in xs if y != x)
                 done = False
+                newton[i] = None
             xs[i] = x - w
         if done:
             break
-    return xs
+    return list(zip(xs, newton))
 
 
 def cluster_points(points, radius: float) -> list:
@@ -586,8 +604,80 @@ def _disc_screen(ai, aj, nu) -> float:
                 + 2.0**-40 * (ai * ai + aj))
 
 
+# A simple root of the quartic of an orthonormal basis is a W point, and
+# the values that ``_polished`` keeps prove it for the row ``_classes`` would
+# form there, so that row need not be formed.  Write Det for the GHZ
+# criterion (``kernels.ghz``).  Along the qubit of clause pair k it reads Det
+# = S^2 -+ 4 P Q (Cayley's hyperdeterminant; Gelfand, Kapranov and
+# Zelevinsky, Discriminants, Resultants, and Multidimensional Determinants,
+# ch. 14), P and Q the two quantities of the pair (``kernels.clauses``), on
+# disjoint halves of the amplitudes, and S the sum of four products that
+# pair every amplitude with another one.  So the gradients of S, P and Q are
+# signed permutations of the amplitudes of a row R, or of their halves, and
+# with m the larger of |P| and |Q|
+#   |grad Det| <= 2 |S| |R| + 4 m |R|,  |S|^2 <= |Det| + 4 m^2,
+# hence |grad Det(R)| <= _SLOPE m |R| + 2 |R| sqrt|Det(R)|, _SLOPE = 8.  At a
+# root Det = 0: a W point has every m > 0, while at a biseparable or product
+# row two or three pairs vanish and the gradient with them (the singular
+# points of Det = 0, which is why they are multiple roots).  Read backwards:
+# a row whose gradient clears |R| (_SLOPE mu + 2 sqrt|Det(R)|) has every
+# clause maximum above mu.
+# In the chart y = 1 of the scaled quartic p(t) = scale Det(t e0 + e1), with
+# |r|^2 = 1 + |t|^2 the squared norm of t e0 + e1, |p'(t)| <= scale |grad
+# Det| because e0 is a unit vector.  ``tri_code`` reads the row W when its
+# GHZ value is at most eps s^4 and every clause maximum at least BAND eps s^2
+# (s its largest magnitude, |r| / sqrt(8) <= s <= |r|).  With u = 2^-53, g =
+# ``_gain`` and f, f' = p, p' at the point of the root's last Newton step
+# (``_polished``, a step of |w| = |f / f'| <= 2^-40 |t|):
+#   - the coefficients are off by at most 13, 69, 117, 69 and 13 u scale
+#     (above ``_NOISE``), which moves p by 154 u scale |r|^4 and p' by
+#     324 u scale |r|^3, and Horner's rule on coefficients below 1 rounds f
+#     by 29 u |r|^4 and f' by 143 u |r|^3;
+#   - the row x phi0 + y phi1 at the reported point is t e0 + e1, up to a
+#     factor, plus an error of at most 64 u g |r| (the rounding of e0, e1,
+#     the scales and the row, the first reaching e1 multiplied by g), and the
+#     reported t is w from the point of f;
+#   - on that segment |grad Det| <= 3 |R|^3 and the Hessian of Det is at most
+#     9 |R|^2, and ``kernels.ghz`` rounds by 10 u |R|^4.
+# Each of these, summed, is below noise = 2^-42 (scale + 1) g times |r|^4
+# (the GHZ value) or |r|^3 (the gradient).  So scale |Det| at the row is at
+# most det = 2 |f| + noise |r|^4, and scale |grad Det| at least |f'| - noise
+# |r|^3 - 10 scale |r|^2 |w|.  A root is certified W when
+#   - 65 det <= eps scale |r|^4: with the rounding of s and R, the GHZ value
+#     reads zero (s^4 >= |r|^4 / 64); it also keeps g <= 2^42 eps / 65, so
+#     that |R| / |r| and the rounding of the clause maxima and of this test
+#     stay within the factor 1 + 2^-9 below;
+#   - the gradient clears (1 + 2^-9) scale |r| (_SLOPE mu + 2 sqrt(det /
+#     scale)) with mu = (BAND eps + 2^-51) |r|^2: every clause maximum reads
+#     nonzero.
+# The test is one-sided and covers the four roots together: when one fails
+# it, or lies at infinity, all four are classified as before.  On Gaussian
+# pencils the largest ratio of |grad Det| to 8 m |R| at a root measured
+# 0.90, so the constant has little slack.
+_SLOPE = 8.0
+
+
+def _certified(roots, scale, gain, eps) -> bool:
+    """Whether the slope of each root (x, y, newton) of the scaled quartic
+    certifies it as a W point (see the comment above ``_SLOPE``)."""
+    noise = 2.0**-42 * (scale + 1) * gain
+    room, clause = eps * scale / 65, (1 + 2.0**-9) * _SLOPE * (kernels.BAND * eps + 2.0**-51) * scale
+    for x, _, newton in roots:
+        if newton is None:  # a root at infinity or at zero, beside roots of a cubic
+            return False
+        f, df = newton
+        rr = 1.0 + x.real * x.real + x.imag * x.imag
+        af, adf, r = abs(f), abs(df), math.sqrt(rr)
+        det = 2 * af + noise * rr * rr
+        if det > room * rr * rr or not adf or (adf - noise * rr * r - 10 * scale * rr * af / adf
+                                               < r * (clause * rr + (2 + 2.0**-8) * math.sqrt(det * scale))):
+            return False
+    return True
+
+
 def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
-    """All projective roots of the quartic, multiplicities summing to 4.
+    """All projective roots of the quartic as (point, class) pairs, the
+    multiplicities summing to 4.
 
     The multiplicity pattern is read from the Hessian, the invariants I and
     J and the discriminant (see the comment above ``_NOISE``); a covariant
@@ -602,13 +692,21 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     (1 : 0) where leading coefficients vanish within ``eps``.  Each root is
     reported in the coordinates of the pencil of phi0 and phi1 (see
     :class:`QuarticForm`).
+
+    The class is ``TriClass.W`` at every root when the slope of each of four
+    simple roots certifies it as a W point (see the comment above
+    ``_SLOPE``), the form being written in an orthonormal basis (``scales``
+    other than the default) and all four roots coming from polishing the
+    quartic itself (none at infinity or at an exact zero).  Otherwise it is
+    None at every root, whose class only ``tri_code`` on its row decides.
     """
     if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
     c = list(map(complex, q.c))
     scale = 2.0 ** -math.frexp(max(map(abs, c)))[1]
     c = [z * scale for z in c]
-    nu = _NOISE * q.amp_scale**4 * scale * _gain(q.scales)
+    gain = _gain(q.scales)
+    nu = _NOISE * q.amp_scale**4 * scale * gain
     i, j = kernels.quartic_invariants(*c)
     ai, aj, disc = abs(i), abs(j), abs(4 * i**3 - j * j)
     # a clear discriminant needs no gradient
@@ -619,7 +717,8 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
         roots = _raw_projective_roots(c, eps)
         if roots[1][1] == 0:
             raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
-        return [_pencil_point(q.scales, x, y) for x, y in roots]
+        cls = _W if q.scales != _RAW and _certified(roots, scale, gain, eps) else None
+        return [(_pencil_point(q.scales, x, y), cls) for x, y, _ in roots]
     h = kernels.hessian(*c)
     h_max = max(map(abs, h))
     if kernels.vanishes(h_max, 116 * nu, "quartic Hessian"):
@@ -630,7 +729,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     else:
         minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
         roots = _double_roots(c, kernels.vanishes(minors, 2 * nu * (116 + h_max), "quartic square test"))
-    return [_pencil_point(q.scales, x, y, m) for x, y, m in _fitted(c, roots, nu)]
+    return [(_pencil_point(q.scales, x, y, m), None) for x, y, m in _fitted(c, roots, nu)]
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
@@ -652,7 +751,7 @@ def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
         double = not (eb * eb - 4 * ea * ec)
     if double:
         return [ProjectivePoint(-b, 2 * a, 2) if abs(a) >= abs(c) else ProjectivePoint(2 * c, -b, 2)]
-    return [ProjectivePoint(x, y) for x, y in _raw_projective_roots([a, b, c], eps)]
+    return [ProjectivePoint(x, y) for x, y, _ in _raw_projective_roots([a, b, c], eps)]
 
 
 def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -> list:
@@ -763,8 +862,10 @@ def analyze_span(
     The quartic and the clause forms are written in an orthonormal basis e0,
     e1 of the pencil, and every point is reported in the coordinates of
     phi0 and phi1 (see :class:`QuarticForm`).  If the quartic is nonzero
-    the generic element is GHZ and the quartic roots, classified
-    individually, are the exceptional points.  If it vanishes identically,
+    the generic element is GHZ and its roots are the exceptional points:
+    when ``quartic_roots`` certifies all four as W points, they are recorded
+    as W with no row formed, and otherwise each one is classified on its row
+    (``_classes``).  If it vanishes identically,
     clause k holds at a generic element exactly when its clause pair does
     not vanish identically, and the exceptional candidates are the common
     roots of each such pair (a clause fails exactly where both of its
@@ -815,8 +916,11 @@ def analyze_span(
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
         return _profile_degenerate_quartic(e0, e1, scales, eps, None)
-    classes = _classes(p0, p1, roots, roots, TriClass.GHZ, eps, ctx)
-    return SpanProfile(TriClass.GHZ, tuple(zip(roots, classes)))
+    if ctx is None and roots[0][1] is _W:  # all four are certified, or none
+        return SpanProfile(TriClass.GHZ, tuple(roots))
+    points = [pt for pt, _ in roots]
+    classes = _classes(p0, p1, points, points, TriClass.GHZ, eps, ctx)
+    return SpanProfile(TriClass.GHZ, tuple(zip(points, classes)))
 
 
 def _live(fa, fb, eps) -> bool:

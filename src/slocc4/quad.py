@@ -214,9 +214,14 @@ def classify4(
         # state within sqrt(eps) of one with a separable qubit
         raise AmbiguousClassification(f"qubit {distinguished} has rank 2 but a 1-dimensional "
                                       "residual pencil within eps (near-separable)") from exc
-    if profile.ghz_generic and _GHZ in [cls for _, cls in profile.exceptional]:
-        raise AmbiguousClassification("a root of the pencil quartic classifies as GHZ: the "
-                                      "pencil is too badly conditioned to place it")
+    if profile.ghz_generic:
+        # every exceptional point is a quartic root: none is GHZ, and a
+        # simple one is W (the comment above pencil._SLOPE)
+        for pt, cls in profile.exceptional:
+            if cls is not _W and (cls is _GHZ or pt.multiplicity == 1):
+                raise AmbiguousClassification(
+                    f"a root of the pencil quartic of multiplicity {pt.multiplicity} classifies as "
+                    f"{cls}: the pencil is too badly conditioned to place it")
     return _decide(profile, distinguished)
 
 

@@ -135,8 +135,8 @@ def _classify_a_one_qubit_state():
 #: test reaches.
 _RAISES = {
     "classify4 GHZ root": (_classify4_with_a_ghz_root, AmbiguousClassification,
-                           "a root of the pencil quartic classifies as GHZ: the pencil is too "
-                           "badly conditioned to place it"),
+                           "a root of the pencil quartic of multiplicity 1 classifies as GHZ: the "
+                           "pencil is too badly conditioned to place it"),
     "canonical_pencil unknown family": (lambda: canonical_pencil(FamilySpec("W000")), Slocc4Error,
                                         "unknown 4-qubit family 'W000'"),
     "random_slocc max_condition < 1": (lambda: random_slocc(4, 0.5), Slocc4Error,

@@ -22,6 +22,7 @@ from slocc4 import (
 )
 from slocc4.canonical import FamilySpec, canonical_pencil, okpsi_w_phi0, ww_phi0
 from slocc4 import kernels, pencil
+from slocc4.errors import Slocc4Error
 from slocc4.exact import lift
 from slocc4.pencil import QuadraticForm, QuarticForm, cluster_points, common_roots
 from slocc4.qstate import DEFAULT_EPS, PureState
@@ -103,23 +104,38 @@ def classify3_invariant(a):
     return ghz_invariant(a)
 
 
+def _points(roots):
+    """The points of ``quartic_roots``' (point, class) pairs."""
+    return [pt for pt, _ in roots]
+
+
+def _roots(p):
+    """The roots of ``pencil._polynomial_roots``' (root, newton) pairs."""
+    return [x for x, _ in pencil._polynomial_roots(p)]
+
+
+def _projective_roots(coeffs, eps):
+    """The (x, y) of ``pencil._raw_projective_roots``' (x, y, newton)."""
+    return [(x, y) for x, y, _ in pencil._raw_projective_roots(coeffs, eps)]
+
+
 class TestQuarticRoots:
     def test_monomial_x2y2(self):
         q = QuarticForm(c=np.array([0, 0, 1, 0, 0], dtype=complex), amp_scale=1.0)
-        roots = quartic_roots(q)
+        roots = _points(quartic_roots(q))
         assert sorted(r.multiplicity for r in roots) == [2, 2]
         assert any(r == ProjectivePoint(1, 0, 2) for r in roots)
         assert any(r == ProjectivePoint(0, 1, 2) for r in roots)
 
     def test_y4(self):
         q = QuarticForm(c=np.array([0, 0, 0, 0, 1], dtype=complex), amp_scale=1.0)
-        roots = quartic_roots(q)
+        roots = _points(quartic_roots(q))
         assert len(roots) == 1
         assert roots[0] == ProjectivePoint(1, 0, 4)
 
     def test_fourth_roots_of_unity(self):
         q = QuarticForm(c=np.array([1, 0, 0, 0, -1], dtype=complex), amp_scale=1.0)
-        roots = quartic_roots(q)
+        roots = _points(quartic_roots(q))
         assert len(roots) == 4
         for w in (1, -1, 1j, -1j):
             assert any(r.chordal(ProjectivePoint(1, w)) <= 1e-8 for r in roots)
@@ -129,7 +145,7 @@ class TestQuarticRoots:
         for _ in range(50):
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             q = QuarticForm(c=c, amp_scale=1.0)
-            roots = quartic_roots(q)
+            roots = _points(quartic_roots(q))
             assert sum(r.multiplicity for r in roots) == 4
 
     def test_identically_zero_raises(self):
@@ -209,7 +225,7 @@ class TestQuarticRootsReference:
     @pytest.mark.parametrize("case", sorted(ROOT_CASES))
     def test_matches_reference(self, case):
         c, multiplicities, roots, tol = ROOT_CASES[case]
-        got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
+        got = _points(quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS))
         assert sorted(p.multiplicity for p in got) == multiplicities
         for a, b in roots:
             target = ProjectivePoint(a, b)
@@ -230,7 +246,7 @@ class TestQuarticRootsReference:
     def test_near_degenerate_is_simple_or_raises(self, name, seed):
         c = relative_noise(form_with_roots(self.NEAR_DEGENERATE[name]), seed)
         try:
-            got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
+            got = _points(quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS))
         except AmbiguousClassification:
             return
         assert [p.multiplicity for p in got] == [1, 1, 1, 1]
@@ -257,8 +273,8 @@ class TestQuarticRootsReference:
         # coefficients and the same roots
         c = form_with_roots(PATTERNS["3+1"][0])
         c = noisy(c, pencil._NOISE, 4)
-        small = quartic_roots(QuarticForm(c=c, amp_scale=1.0))
-        large = quartic_roots(QuarticForm(c=c * 2.0**40, amp_scale=2.0**10))
+        small = _points(quartic_roots(QuarticForm(c=c, amp_scale=1.0)))
+        large = _points(quartic_roots(QuarticForm(c=c * 2.0**40, amp_scale=2.0**10)))
         assert [(p.x, p.y, p.multiplicity) for p in small] == [
             (p.x, p.y, p.multiplicity) for p in large
         ]
@@ -307,13 +323,13 @@ class TestClosedFormRoots:
     def test_gaussian_quartics_match_np_roots(self):
         rng = np.random.default_rng(11)
         for c in gaussian(rng, 10_000, 5):
-            got = pencil._polynomial_roots(c.tolist())
+            got = _roots(c.tolist())
             assert max(err for err, _ in matched_errors(got, np.roots(c))) <= 1e-12
 
     def test_gaussian_cubics_match_np_roots(self):
         rng = np.random.default_rng(12)
         for c in gaussian(rng, 2000, 4):
-            got = pencil._polynomial_roots(c.tolist())
+            got = _roots(c.tolist())
             assert max(err for err, _ in matched_errors(got, np.roots(c))) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -321,20 +337,20 @@ class TestClosedFormRoots:
         rng = np.random.default_rng(13 + k)
         for c in gaussian(rng, 200, 5):
             c[:k] *= 1e-12
-            pts = pencil._raw_projective_roots(c.tolist(), EPS)
+            pts = _projective_roots(c.tolist(), EPS)
             assert pts[:k] == [(1.0, 0.0)] * k
             assert [y for _, y in pts[k:]] == [1.0] * (4 - k)
             assert_within_condition([x for x, _ in pts[k:]], np.roots(c[k:]), c[k:])
         # just above eps times the largest coefficient, it is kept
         c = np.array([3 * EPS, 1, 0.5j, -1, 2])
-        assert all(y == 1.0 for _, y in pencil._raw_projective_roots(c.tolist(), EPS))
+        assert all(y == 1.0 for _, y in _projective_roots(c.tolist(), EPS))
 
     @pytest.mark.parametrize("zeros", [1, 2])
     def test_exact_trailing_zeros_are_roots_at_zero(self, zeros):
         rng = np.random.default_rng(15 + zeros)
         for c in gaussian(rng, 200, 5):
             c[5 - zeros:] = 0
-            pts = pencil._raw_projective_roots(c.tolist(), EPS)
+            pts = _projective_roots(c.tolist(), EPS)
             assert pts[4 - zeros:] == [(0j, 1.0)] * zeros
             rest = c[: 5 - zeros]
             assert_within_condition([x for x, _ in pts[: 4 - zeros]], np.roots(rest), rest)
@@ -344,14 +360,14 @@ class TestClosedFormRoots:
         for _ in range(1000):
             roots = 10 ** rng.uniform(-4, 4, 4) * np.exp(2j * np.pi * rng.random(4))
             c = np.poly(roots)
-            assert_within_condition(pencil._polynomial_roots(c.tolist()), roots, c)
+            assert_within_condition(_roots(c.tolist()), roots, c)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-2])
     def test_close_simple_roots(self, gap):
         rng = np.random.default_rng(18)
         for z, w, v in gaussian(rng, 1000, 3):
             c = np.poly([z, z + gap * np.exp(2j * np.pi * rng.random()), w, v])
-            assert_within_condition(pencil._polynomial_roots(c.tolist()), np.roots(c), c)
+            assert_within_condition(_roots(c.tolist()), np.roots(c), c)
 
     def test_biquadratics(self):
         # Q = 0 after depressing: the resolvent has the root 0, never the
@@ -359,12 +375,12 @@ class TestClosedFormRoots:
         rng = np.random.default_rng(19)
         for r, t in gaussian(rng, 1000, 2):
             c = np.poly([r, -r, t, -t])
-            assert_within_condition(pencil._polynomial_roots(c.tolist()), np.roots(c), c)
+            assert_within_condition(_roots(c.tolist()), np.roots(c), c)
 
     def test_real_coefficients(self):
         rng = np.random.default_rng(20)
         for c in rng.standard_normal((2000, 5)):
-            got = pencil._polynomial_roots([complex(z) for z in c])
+            got = _roots([complex(z) for z in c])
             assert_within_condition(got, np.roots(c), c)
 
 
@@ -649,3 +665,147 @@ def test_cluster_points_merges_and_sums():
     assert len(merged) == 2
     infinity = [p for p in merged if p.chordal(ProjectivePoint(1, 0)) < 1e-6]
     assert infinity[0].multiplicity == 3
+
+
+# The W certificate of simple quartic roots (the comment above pencil._SLOPE).
+
+#: ghz = S_k^2 - 4 SIGN_k P_k Q_k with (P_k, Q_k) clause pair k of
+#: kernels.clauses: the two slice determinants along qubit k are (P, -Q),
+#: (-P, -Q) and (-Q, -P) for k = 1, 2, 3.
+_PAIR_SIGN = {1: -1, 2: 1, 3: 1}
+
+
+def _slices(a, k):
+    """The two 2x2 slices of a row along qubit k, as (a00, a01, a10, a11)."""
+    bit = 1 << (3 - k)
+    return [a[i] for i in range(8) if not i & bit], [a[i] for i in range(8) if i & bit]
+
+
+def _det2(m):
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def _ghz_gradient(a):
+    """The gradient of kernels.ghz at a row, by central differences."""
+    h = 1e-5 * np.linalg.norm(a)
+    grad = []
+    for i in range(8):
+        up, down = list(a), list(a)
+        up[i] += h
+        down[i] -= h
+        grad.append((kernels.ghz(*up) - kernels.ghz(*down)) / (2 * h))
+    return np.array(grad)
+
+
+def _orthonormal_pencil(rng, near=None, delta=0.0):
+    """Two orthonormal 3-qubit vectors; with ``near`` given, their pencil
+    holds ``near`` plus delta N(0, 1) at (1 : 1)."""
+    g = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2)]
+    if near is None:
+        q, _ = np.linalg.qr(np.column_stack(g))
+        return list(q[:, 0]), list(q[:, 1])
+    q, _ = np.linalg.qr(np.column_stack([near + delta * g[0], g[1]]))
+    return list((q[:, 0] + q[:, 1]) / 2**0.5), list((q[:, 0] - q[:, 1]) / 2**0.5)
+
+
+def _certified_rows(monkeypatch, phi0, phi1, eps):
+    """(root, class, row) for each root that ``quartic_roots`` reports inside
+    ``analyze_span``, the row being the one ``_classes`` would form."""
+    found = []
+
+    def recorder(*args, **kwargs):
+        found.extend(original(*args, **kwargs))
+        return found
+
+    original = pencil.quartic_roots
+    monkeypatch.setattr(pencil, "quartic_roots", recorder)
+    try:
+        analyze_span(phi0, phi1, eps)
+    except Slocc4Error:  # after the roots, when they are classified
+        pass
+    monkeypatch.setattr(pencil, "quartic_roots", original)
+    p0, p1 = pencil._check_inputs(phi0, phi1)[:2]
+    rows = kernels.pencil_elements(p0, p1, [(pt.x, pt.y) for pt, _ in found])
+    return [(pt, cls, row) for (pt, cls), row in zip(found, rows)]
+
+
+def test_ghz_is_the_hyperdeterminant_along_each_clause_pair():
+    # Gaussian-integer rows, so that every value below is exact
+    rng = np.random.default_rng(31)
+    for a in rng.integers(-9, 10, (200, 8)) + 1j * rng.integers(-9, 10, (200, 8)):
+        a = [complex(z) for z in a]
+        q = kernels.clauses(*a)
+        for k in (1, 2, 3):
+            lo, hi = _slices(a, k)
+            s = _det2([x + y for x, y in zip(lo, hi)]) - _det2(lo) - _det2(hi)
+            p, r = q[2 * k - 2], q[2 * k - 1]
+            assert _det2(lo) * _det2(hi) == _PAIR_SIGN[k] * p * r
+            assert kernels.ghz(*a) == s * s - 4 * _PAIR_SIGN[k] * p * r
+
+
+def test_gradient_bound_at_pencil_roots():
+    # |grad ghz(r)| <= _SLOPE m_k |r| at a root r (Det = 0), for each clause
+    # pair k; the rounding of a float root is covered by 2 |r| sqrt|Det(r)|,
+    # which bounds the gap at any row
+    rng = np.random.default_rng(32)
+    largest = 0.0
+    for _ in range(300):
+        u, v = _orthonormal_pencil(rng)
+        for t in np.roots(kernels.pencil_quartic(u, v)):
+            r = t * np.array(u) + np.array(v)
+            norm, q = np.linalg.norm(r), np.abs(kernels.clauses(*r))
+            grad, det = np.linalg.norm(_ghz_gradient(r)), abs(kernels.ghz(*r))
+            for k in (1, 2, 3):
+                bound = pencil._SLOPE * max(q[2 * k - 2], q[2 * k - 1]) * norm + 2 * norm * det**0.5
+                largest = max(largest, grad / bound)
+    assert largest <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_root_beside_a_biseparable_point(monkeypatch, seed):
+    # a Bisep(1) point plus 1e-4 noise splits its double root into two simple
+    # roots near (1 : 1); eps puts the slope of the nearer one at a multiple
+    # of the derived threshold 8 BAND eps |r|^3: below it the four roots are
+    # classified, above it certified, and a certified root reads W under
+    # tri_code
+    phi0, phi1 = _orthonormal_pencil(np.random.default_rng(seed), np.eye(8)[0] + np.eye(8)[3], 1e-4)
+    c = np.array(kernels.pencil_quartic(phi0, phi1))
+    roots = np.roots(c)
+    t = roots[np.argmin(abs(roots - 1))]
+    slope, r = abs(np.polyval(np.polyder(c), t)), (1 + abs(t) ** 2) ** 0.5
+    for multiple in (0.25, 0.75, 4, 128):
+        eps = slope / (multiple * 8 * kernels.BAND * r**3)
+        found = _certified_rows(monkeypatch, phi0, phi1, eps)
+        nearest = min(found, key=lambda f: f[0].chordal(ProjectivePoint(1, 1)))
+        assert (nearest[1] is TriClass.W) == (multiple > 1), (multiple, eps)
+        for _, cls, row in found:
+            if cls is TriClass.W:
+                assert kernels.tri_code(row, eps) is TriClass.W
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_certified_roots_of_gaussian_pencils_are_w(monkeypatch, eps):
+    # orthonormal Gaussian pairs, whose roots are certified only where their
+    # slope clears the derived threshold 8 BAND eps |r|^3, and Gaussian pairs
+    # 1e-2 from parallel (pencil._gain about 100); below eps of about 1e-11,
+    # or about 1e-8 at that gain, the rounding bound holds the certificate back
+    rng = np.random.default_rng(33)
+    certified = 0
+    for i in range(200):
+        if i % 2:
+            g0, g1 = (rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2))
+            g0, g1 = list(g0), list(g0 + 1e-2 * g1)
+        else:
+            g0, g1 = _orthonormal_pencil(rng)
+            slope = np.polyder(np.array(kernels.pencil_quartic(g0, g1)))
+        for pt, cls, row in _certified_rows(monkeypatch, g0, g1, eps):
+            if cls is TriClass.W:
+                certified += 1
+                assert kernels.tri_code(row, eps) is TriClass.W
+                if not i % 2:
+                    t = pt.x / pt.y
+                    assert abs(np.polyval(slope, t)) >= 8 * kernels.BAND * eps * (1 + abs(t) ** 2) ** 1.5
+    # every orthonormal root from 1e-9 on, and every root at 1e-6; at 1e-3
+    # the slopes of most roots lie below the threshold
+    if eps in (1e-9, 1e-6):
+        assert certified >= 400

@@ -300,3 +300,26 @@ def test_float_mode_refuses_eps_below_the_rank_floor():
                 classify4(img, eps=1e-13)
     with pytest.raises(Slocc4Error, match="1e-12"):
         classify4_all(img, eps=1e-13)
+
+
+def test_no_verdict_with_a_simple_root_that_is_not_w():
+    # condition-1e3 images of W0Psi_GHZ plus 1e-4 N(0, 1) noise, at eps 1e-3:
+    # the double Bisep(1) root of the pencil quartic splits into simple roots
+    # that still classify Bisep(1) at that eps.  A simple root of a
+    # GHZ-generic pencil is W, so those states raise (149 of 300 returned
+    # W0Psi_GHZ(1) before); no verdict keeps such a root
+    base = make_canonical(FamilySpec("W0Psi_GHZ"))
+    rng = np.random.default_rng(7)
+    raised = 0
+    for _ in range(300):
+        img = apply_slocc(base, random_slocc(4, 1e3, rng)).amps
+        img = img + 1e-4 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        try:
+            verdict = classify4(PureState(img), 1, eps=1e-3)
+        except AmbiguousClassification as exc:
+            raised += "multiplicity 1 classifies as Bisep(1)" in str(exc)
+            continue
+        except GenericTypeUnstable:
+            continue
+        assert all(cls is TriClass.W for pt, cls in verdict.profile.exceptional if pt.multiplicity == 1)
+    assert raised >= 100
