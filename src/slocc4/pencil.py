@@ -9,8 +9,8 @@ which writes a 2x2 minor of the pencil element as a binary quadratic: the
 clause forms are the six clause minors, and the quartic is the GHZ
 criterion S^2 - 4 P Q over the minors P and Q of clause pair 3.  It uses
 only ring operations, so exact mode runs it unchanged.  A simple root of a
-nonzero quartic is a W point, certified from its slope where the root
-finder leaves it (``quartic_roots``); pencil rows are formed only by
+nonzero quartic is a W point, certified from the slope that the root
+finder leaves (``_certified``); pencil rows are formed only by
 ``kernels.pencil_elements``, at the candidate points that no certificate
 decides.
 """
@@ -66,25 +66,18 @@ class ProjectivePoint:
         return f"ProjectivePoint({self.x:.6g}, {self.y:.6g}, multiplicity={self.multiplicity})"
 
 
-#: The ``scales`` of a form written in phi0 and phi1 themselves.
-_RAW = (1.0, 0.0, 1.0)
-
-_W = TriClass.W
-
-
 class QuarticForm(NamedTuple):
     """Homogeneous quartic c0 x^4 + c1 x^3 y + c2 x^2 y^2 + c3 x y^3 + c4 y^4.
 
-    ``scales`` = (a, b, c) marks the quartic of the orthonormal basis e0, e1
-    of ``analyze_span``, with x e0 + y e1 = (a x + b y) phi0 + (c y) phi1:
-    its root (x : y) is the point (a x + b y : c y) of the pencil of phi0
-    and phi1, where ``quartic_roots`` reports it.  The default marks the
-    quartic of phi0 and phi1 themselves (``quartic``).
+    ``scales`` = (a, b, c) marks the quartic of the pencil of e0 and e1 with
+    x e0 + y e1 = (a x + b y) phi0 + (c y) phi1: its root (x : y) is the
+    point (a x + b y : c y) of the pencil of phi0 and phi1, where
+    ``quartic_roots`` reports it.
     """
 
     c: tuple
     amp_scale: float
-    scales: tuple = _RAW
+    scales: tuple = (1.0, 0.0, 1.0)
 
     def evaluate(self, x, y) -> complex:
         return sum(ck * x ** (4 - k) * y**k for k, ck in enumerate(self.c))
@@ -110,7 +103,7 @@ class QuadraticForm(NamedTuple):
     c: tuple
     amp_scale: float
     exact: tuple = None
-    scales: tuple = _RAW
+    scales: tuple = (1.0, 0.0, 1.0)
 
     def identically_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """Exactly in exact mode, else whether the largest coefficient
@@ -223,7 +216,7 @@ def clause_quadratics(phi0, phi1) -> tuple:
     return _clause_forms(p0, p1, max(s0, s1))
 
 
-def _clause_forms(p0, p1, amp_scale, scales=_RAW) -> tuple:
+def _clause_forms(p0, p1, amp_scale, scales=(1.0, 0.0, 1.0)) -> tuple:
     """The clause forms of checked vectors, grouped into pairs: those of
     ``_check_inputs``, or the orthonormal basis e0, e1 of ``analyze_span``
     with amp_scale 1 (no magnitude of a unit vector exceeds 1) and its
@@ -658,8 +651,9 @@ _SLOPE = 8.0
 
 
 def _certified(roots, scale, gain, eps) -> bool:
-    """Whether the slope of each root (x, y, newton) of the scaled quartic
-    certifies it as a W point (see the comment above ``_SLOPE``)."""
+    """Whether the slope of each root (x, y, newton) of the scaled quartic of
+    an orthonormal basis certifies it as a W point (see the comment above
+    ``_SLOPE``)."""
     noise = 2.0**-42 * (scale + 1) * gain
     room, clause = eps * scale / 65, (1 + 2.0**-9) * _SLOPE * (kernels.BAND * eps + 2.0**-51) * scale
     for x, _, newton in roots:
@@ -675,9 +669,19 @@ def _certified(roots, scale, gain, eps) -> bool:
     return True
 
 
+class _Roots(list):
+    """The points of ``quartic_roots``, which also keep in ``slopes`` what
+    ``_certified`` reads of four simple roots (None for multiple roots)."""
+
+    __slots__ = ("slopes",)
+
+    def __init__(self, points, slopes=None):
+        super().__init__(points)
+        self.slopes = slopes
+
+
 def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
-    """All projective roots of the quartic as (point, class) pairs, the
-    multiplicities summing to 4.
+    """All projective roots of the quartic, multiplicities summing to 4.
 
     The multiplicity pattern is read from the Hessian, the invariants I and
     J and the discriminant (see the comment above ``_NOISE``); a covariant
@@ -693,12 +697,10 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     reported in the coordinates of the pencil of phi0 and phi1 (see
     :class:`QuarticForm`).
 
-    The class is ``TriClass.W`` at every root when the slope of each of four
-    simple roots certifies it as a W point (see the comment above
-    ``_SLOPE``), the form being written in an orthonormal basis (``scales``
-    other than the default) and all four roots coming from polishing the
-    quartic itself (none at infinity or at an exact zero).  Otherwise it is
-    None at every root, whose class only ``tri_code`` on its row decides.
+    The list's ``slopes`` attribute holds, for four simple roots, what
+    ``_certified`` reads (the roots of the scaled quartic with their Newton
+    values, its scale and the gain), from which ``analyze_span`` certifies
+    W points in its orthonormal basis; for multiple roots it is None.
     """
     if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
@@ -717,8 +719,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
         roots = _raw_projective_roots(c, eps)
         if roots[1][1] == 0:
             raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
-        cls = _W if q.scales != _RAW and _certified(roots, scale, gain, eps) else None
-        return [(_pencil_point(q.scales, x, y), cls) for x, y, _ in roots]
+        return _Roots([_pencil_point(q.scales, x, y) for x, y, _ in roots], (roots, scale, gain))
     h = kernels.hessian(*c)
     h_max = max(map(abs, h))
     if kernels.vanishes(h_max, 116 * nu, "quartic Hessian"):
@@ -729,7 +730,7 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     else:
         minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
         roots = _double_roots(c, kernels.vanishes(minors, 2 * nu * (116 + h_max), "quartic square test"))
-    return [(_pencil_point(q.scales, x, y, m), None) for x, y, m in _fitted(c, roots, nu)]
+    return _Roots([_pencil_point(q.scales, x, y, m) for x, y, m in _fitted(c, roots, nu)])
 
 
 def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
@@ -863,14 +864,15 @@ def analyze_span(
     e1 of the pencil, and every point is reported in the coordinates of
     phi0 and phi1 (see :class:`QuarticForm`).  If the quartic is nonzero
     the generic element is GHZ and its roots are the exceptional points:
-    when ``quartic_roots`` certifies all four as W points, they are recorded
-    as W with no row formed, and otherwise each one is classified on its row
-    (``_classes``).  If it vanishes identically,
-    clause k holds at a generic element exactly when its clause pair does
-    not vanish identically, and the exceptional candidates are the common
-    roots of each such pair (a clause fails exactly where both of its
-    quadratics vanish); candidates are kept when their class differs from
-    the generic one.
+    when the slopes that ``quartic_roots`` leaves certify all four as W
+    points (``_certified``, float mode only), they are recorded as W with no
+    row formed, and otherwise each one is classified on its row
+    (``_classes``).  If it vanishes identically, clause k holds at a
+    generic element exactly when its clause pair does not vanish
+    identically, and the exceptional candidates are the common roots of
+    each such pair (a clause fails exactly where both of its quadratics
+    vanish); candidates are kept when their class differs from the generic
+    one.
 
     In exact mode all identity decisions (quartic and clause-form
     vanishing, resultants, double roots, the generic type) are exact, and
@@ -916,11 +918,10 @@ def analyze_span(
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
         return _profile_degenerate_quartic(e0, e1, scales, eps, None)
-    if ctx is None and roots[0][1] is _W:  # all four are certified, or none
-        return SpanProfile(TriClass.GHZ, tuple(roots))
-    points = [pt for pt, _ in roots]
-    classes = _classes(p0, p1, points, points, TriClass.GHZ, eps, ctx)
-    return SpanProfile(TriClass.GHZ, tuple(zip(points, classes)))
+    if ctx is None and roots.slopes is not None and _certified(*roots.slopes, eps):
+        return SpanProfile(TriClass.GHZ, tuple((pt, TriClass.W) for pt in roots))
+    classes = _classes(p0, p1, roots, roots, TriClass.GHZ, eps, ctx)
+    return SpanProfile(TriClass.GHZ, tuple(zip(roots, classes)))
 
 
 def _live(fa, fb, eps) -> bool:

@@ -104,11 +104,6 @@ def classify3_invariant(a):
     return ghz_invariant(a)
 
 
-def _points(roots):
-    """The points of ``quartic_roots``' (point, class) pairs."""
-    return [pt for pt, _ in roots]
-
-
 def _roots(p):
     """The roots of ``pencil._polynomial_roots``' (root, newton) pairs."""
     return [x for x, _ in pencil._polynomial_roots(p)]
@@ -122,20 +117,20 @@ def _projective_roots(coeffs, eps):
 class TestQuarticRoots:
     def test_monomial_x2y2(self):
         q = QuarticForm(c=np.array([0, 0, 1, 0, 0], dtype=complex), amp_scale=1.0)
-        roots = _points(quartic_roots(q))
+        roots = quartic_roots(q)
         assert sorted(r.multiplicity for r in roots) == [2, 2]
         assert any(r == ProjectivePoint(1, 0, 2) for r in roots)
         assert any(r == ProjectivePoint(0, 1, 2) for r in roots)
 
     def test_y4(self):
         q = QuarticForm(c=np.array([0, 0, 0, 0, 1], dtype=complex), amp_scale=1.0)
-        roots = _points(quartic_roots(q))
+        roots = quartic_roots(q)
         assert len(roots) == 1
         assert roots[0] == ProjectivePoint(1, 0, 4)
 
     def test_fourth_roots_of_unity(self):
         q = QuarticForm(c=np.array([1, 0, 0, 0, -1], dtype=complex), amp_scale=1.0)
-        roots = _points(quartic_roots(q))
+        roots = quartic_roots(q)
         assert len(roots) == 4
         for w in (1, -1, 1j, -1j):
             assert any(r.chordal(ProjectivePoint(1, w)) <= 1e-8 for r in roots)
@@ -145,7 +140,7 @@ class TestQuarticRoots:
         for _ in range(50):
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             q = QuarticForm(c=c, amp_scale=1.0)
-            roots = _points(quartic_roots(q))
+            roots = quartic_roots(q)
             assert sum(r.multiplicity for r in roots) == 4
 
     def test_identically_zero_raises(self):
@@ -225,7 +220,7 @@ class TestQuarticRootsReference:
     @pytest.mark.parametrize("case", sorted(ROOT_CASES))
     def test_matches_reference(self, case):
         c, multiplicities, roots, tol = ROOT_CASES[case]
-        got = _points(quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS))
+        got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
         assert sorted(p.multiplicity for p in got) == multiplicities
         for a, b in roots:
             target = ProjectivePoint(a, b)
@@ -246,7 +241,7 @@ class TestQuarticRootsReference:
     def test_near_degenerate_is_simple_or_raises(self, name, seed):
         c = relative_noise(form_with_roots(self.NEAR_DEGENERATE[name]), seed)
         try:
-            got = _points(quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS))
+            got = quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
         except AmbiguousClassification:
             return
         assert [p.multiplicity for p in got] == [1, 1, 1, 1]
@@ -273,8 +268,8 @@ class TestQuarticRootsReference:
         # coefficients and the same roots
         c = form_with_roots(PATTERNS["3+1"][0])
         c = noisy(c, pencil._NOISE, 4)
-        small = _points(quartic_roots(QuarticForm(c=c, amp_scale=1.0)))
-        large = _points(quartic_roots(QuarticForm(c=c * 2.0**40, amp_scale=2.0**10)))
+        small = quartic_roots(QuarticForm(c=c, amp_scale=1.0))
+        large = quartic_roots(QuarticForm(c=c * 2.0**40, amp_scale=2.0**10))
         assert [(p.x, p.y, p.multiplicity) for p in small] == [
             (p.x, p.y, p.multiplicity) for p in large
         ]
@@ -710,23 +705,32 @@ def _orthonormal_pencil(rng, near=None, delta=0.0):
 
 def _certified_rows(monkeypatch, phi0, phi1, eps):
     """(root, class, row) for each root that ``quartic_roots`` reports inside
-    ``analyze_span``, the row being the one ``_classes`` would form."""
-    found = []
+    ``analyze_span``, the class being W where ``_certified`` proves the four
+    roots W and None otherwise, and the row the one ``_classes`` would form."""
+    found, certified = [], []
 
-    def recorder(*args, **kwargs):
-        found.extend(original(*args, **kwargs))
-        return found
+    def roots(*args, **kwargs):
+        points = original_roots(*args, **kwargs)
+        found.extend(points)
+        return points
 
-    original = pencil.quartic_roots
-    monkeypatch.setattr(pencil, "quartic_roots", recorder)
+    def certify(*args):
+        certified.append(original_certified(*args))
+        return certified[-1]
+
+    original_roots, original_certified = pencil.quartic_roots, pencil._certified
+    monkeypatch.setattr(pencil, "quartic_roots", roots)
+    monkeypatch.setattr(pencil, "_certified", certify)
     try:
         analyze_span(phi0, phi1, eps)
     except Slocc4Error:  # after the roots, when they are classified
         pass
-    monkeypatch.setattr(pencil, "quartic_roots", original)
+    monkeypatch.setattr(pencil, "quartic_roots", original_roots)
+    monkeypatch.setattr(pencil, "_certified", original_certified)
+    cls = TriClass.W if certified == [True] else None
     p0, p1 = pencil._check_inputs(phi0, phi1)[:2]
-    rows = kernels.pencil_elements(p0, p1, [(pt.x, pt.y) for pt, _ in found])
-    return [(pt, cls, row) for (pt, cls), row in zip(found, rows)]
+    rows = kernels.pencil_elements(p0, p1, [(pt.x, pt.y) for pt in found])
+    return [(pt, cls, row) for pt, row in zip(found, rows)]
 
 
 def test_ghz_is_the_hyperdeterminant_along_each_clause_pair():
