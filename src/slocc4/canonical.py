@@ -59,7 +59,7 @@ def ww_phi0(mu: complex, a3: complex, a5: complex, sign: int) -> np.ndarray:
         raise ConstraintViolation(
             "a3 + a5 +/- 2*sqrt(a3*a5) != 0 violated for the chosen branch"
         )
-    a0 = -(mu**2) / (4 * a3)
+    a0 = -(mu * mu) / (4 * a3)
     a4 = mu * (a5 * (a3 + root)) / (a3 * (a5 + root))
     return np.array([a0, 0, -mu, a3, a4, a5, a6, 0], dtype=np.complex128)
 

@@ -225,42 +225,22 @@ def _clause_forms(p0, p1, amp_scale, scales=(1.0, 0.0, 1.0)) -> tuple:
     return (forms[0:2], forms[2:4], forms[4:6])
 
 
+def _larger_q(a, b, c) -> complex:
+    """q = -(b +- sqrt(b^2 - 4 a c)) / 2, of the two the larger in magnitude:
+    the roots of a x^2 + b x y + c y^2 are (q : a) and (c : q), free of
+    cancellation."""
+    s = cmath.sqrt(b * b - 4.0 * a * c)
+    if abs(b - s) > abs(b + s):
+        s = -s
+    return -0.5 * (b + s)
+
+
 def _quadratic_formula(a, b, c) -> tuple:
     """Both roots of a x^2 + b x + c (a != 0), cancellation-safe."""
     if c == 0:
         return (0.0 + 0.0j, -b / a)
-    s = cmath.sqrt(b * b - 4.0 * a * c)
-    if abs(b - s) > abs(b + s):
-        s = -s
-    q = -0.5 * (b + s)
+    q = _larger_q(a, b, c)
     return (q / a, c / q)
-
-
-def _raw_projective_roots(coeffs: list, eps: float) -> list:
-    """Unclustered projective roots (x, y, newton) of a homogeneous binary
-    form of degree at most four (a list of coefficients, highest power of x
-    first).  Leading coefficients within ``eps`` of the largest give roots
-    at infinity (1, 0); in a cubic or quartic rest, each exact trailing zero
-    gives the root (0, 1), and ``_polynomial_roots`` gives the others with
-    their ``newton`` values.  Those of the roots at infinity and at zero are
-    None."""
-    mags = list(map(abs, coeffs))
-    cmax = max(mags)
-    if cmax == 0.0:
-        raise IdenticallyZero("form has no roots: all coefficients vanish")
-    # a sharp test, not kernels.vanishes: a leading coefficient near eps
-    # gives a root near (1 : 0) either way, within eps of it, and no class
-    # depends on which
-    k = 0
-    while k < len(mags) - 1 and mags[k] <= eps * cmax:
-        k += 1
-    tail = coeffs[k:]
-    zeros = 0
-    while len(tail) > 3 and tail[-1] == 0:
-        tail.pop()
-        zeros += 1
-    return ([(1.0, 0.0, None)] * k + [(r, 1.0, newton) for r, newton in _polynomial_roots(tail)]
-            + [(0j, 1.0, None)] * zeros)
 
 
 #: Cube roots of unity other than 1.
@@ -282,42 +262,30 @@ def _cubic_roots(p, q) -> list:
 
 
 def _polynomial_roots(p) -> list:
-    """Roots of p[0] x^n + .. + p[n] (n <= 4, p[0] != 0) in closed form, as
-    pairs (root, newton) with ``newton`` as in ``_polished`` (None for n <= 2).
+    """Roots of the quartic p[0] x^4 + .. + p[4] (p[0] != 0) in closed form,
+    as pairs (root, newton) with ``newton`` as in ``_polished``.
 
-    A cubic is depressed and solved by Cardano; a quartic is depressed to
-    y^4 + P y^2 + Q y + R and split by Ferrari into the two quadratics
-    y^2 -+ s y + P/2 + m +- Q/(2 s), s^2 = 2 m, with m the root of largest
-    magnitude of the resolvent cubic m^3 + P m^2 + (P^2/4 - R) m - Q^2/8
-    (2 m is the square of a sum of two roots y, so m = 0 only when all four
-    roots coincide, and then Q = 0).  Depressing loses the small roots of a
-    polynomial whose roots span many decades, so the estimates are then
-    refined on p itself by ``_polished``."""
-    n = len(p) - 1
-    if n == 0:
-        return []
-    if n == 1:
-        return [(-p[1] / p[0], None)]
-    if n == 2:
-        return [(x, None) for x in _quadratic_formula(*p)]
+    It is depressed to y^4 + P y^2 + Q y + R and split by Ferrari into the
+    two quadratics y^2 -+ s y + P/2 + m +- Q/(2 s), s^2 = 2 m, with m the
+    root of largest magnitude of the resolvent cubic m^3 + P m^2 + (P^2/4 -
+    R) m - Q^2/8 (2 m is the square of a sum of two roots y, so m = 0 only
+    when all four roots coincide, and then Q = 0), which Cardano solves.
+    Depressing loses the small roots of a polynomial whose roots span many
+    decades, so the estimates are then refined on p itself by
+    ``_polished``."""
     lead = p[0]
-    if n == 3:
-        a, b, c = p[1] / lead, p[2] / lead, p[3] / lead
-        shift = a / 3
-        xs = [t - shift for t in _cubic_roots(b - a * shift, (2 * shift * shift - b) * a / 3 + c)]
-    else:
-        a, b, c, d = p[1] / lead, p[2] / lead, p[3] / lead, p[4] / lead
-        shift = 0.25 * a
-        aa = a * a
-        pp = b - 0.375 * aa
-        qq = c - 0.5 * a * b + 0.125 * aa * a
-        rr = d - 0.25 * a * c + aa * b / 16 - 3 * aa * aa / 256
-        third = pp / 3
-        zs = _cubic_roots(-(pp * pp / 12 + rr), pp * rr / 3 - pp * pp * pp / 108 - qq * qq / 8)
-        m = max((z - third for z in zs), key=abs)
-        s = cmath.sqrt(2 * m)
-        half, t = 0.5 * pp + m, qq / (2 * s) if s else 0j
-        xs = [y - shift for y in _quadratic_formula(1, -s, half + t) + _quadratic_formula(1, s, half - t)]
+    a, b, c, d = p[1] / lead, p[2] / lead, p[3] / lead, p[4] / lead
+    shift = 0.25 * a
+    aa = a * a
+    pp = b - 0.375 * aa
+    qq = c - 0.5 * a * b + 0.125 * aa * a
+    rr = d - 0.25 * a * c + aa * b / 16 - 3 * aa * aa / 256
+    third = pp / 3
+    zs = _cubic_roots(-(pp * pp / 12 + rr), pp * rr / 3 - pp * pp * pp / 108 - qq * qq / 8)
+    m = max((z - third for z in zs), key=abs)
+    s = cmath.sqrt(2 * m)
+    half, t = 0.5 * pp + m, qq / (2 * s) if s else 0j
+    xs = [y - shift for y in _quadratic_formula(1, -s, half + t) + _quadratic_formula(1, s, half - t)]
     return _polished(p, xs)
 
 
@@ -531,40 +499,49 @@ def _simple_beside_triple(c, triple) -> tuple:
     return (-d, (c[3] - 3 * a * b * b * d) / b**3, 1)
 
 
-#: Real unit anchors of the charts of ``_double_roots``.  Any three points
-#: leave one anchor at chordal distance 0.35 or more from all of them.
-_ANCHORS = ((1.0, 0.0), (0.0, 1.0), (0.5**0.5, 0.5**0.5), (0.5**0.5, -(0.5**0.5)))
+#: Real unit anchors of the charts of ``_chart``, at angles 0, pi/2, pi/4,
+#: -pi/4 and pi/8: no two lie closer than pi/8 on the real projective line,
+#: so any four points leave one anchor at chordal distance sin(pi/16) =
+#: 0.195 or more from all of them (the fifth is needed: x y (x^2 - y^2)
+#: vanishes at the other four).
+_ANCHORS = ((1.0, 0.0), (0.0, 1.0), (0.5**0.5, 0.5**0.5), (0.5**0.5, -(0.5**0.5)),
+            (math.cos(math.pi / 8), math.sin(math.pi / 8)))
 
 
-def _double_roots(c, square: bool) -> list:
-    """The roots of a quartic with a double root: two double roots when it
-    is a square, else one double and two simple roots.
-
-    The chart puts at infinity the anchor with the largest |f|: with
-    g(t, 1) = f(a t - b, b t + a), g's leading coefficient is f(a, b).  For
-    a square, g / g0 = (t^2 + p t + r)^2; otherwise the double root d is the
-    root of the linear gcd of g(t, 1) and its derivative, and deflating
-    (t - d)^2 leaves the quadratic of the simple roots.  g is formed by
-    Horner's rule on the linear forms a t - b and b t + a."""
+def _chart(c) -> tuple:
+    """(a, b, g): the anchor (a, b) with the largest |f| of the quartic c and
+    the coefficients g of g(t, 1) = f(a t - b, b t + a), whose root t is the
+    root (a t - b : b t + a) of f.  The chart puts the anchor at infinity, so
+    g's leading coefficient is f(a, b), away from zero.  g is formed by
+    Horner's rule on the linear forms a t - b and b t + a, with ring
+    operations only."""
     f = QuarticForm(c, 1.0).evaluate
     a, b = max(_ANCHORS, key=lambda ab: abs(f(*ab)))
     g, power = [c[0]], [1.0]
     for ck in c[1:]:  # g X + ck Y^k, X = a t - b and Y = b t + a
         power = _times(power, b, a)
         g = [s + ck * t for s, t in zip(_times(g, a, -b), power)]
+    return a, b, g
+
+
+def _double_roots(g, square: bool) -> list:
+    """The roots (t, multiplicity) of the quartic g(t, 1) of ``_chart`` with
+    a double root: two double roots when it is a square, else one double and
+    two simple roots.
+
+    For a square, g / g0 = (t^2 + p t + r)^2; otherwise the double root d is
+    the root of the linear gcd of g(t, 1) and its derivative, and deflating
+    (t - d)^2 leaves the quadratic of the simple roots."""
     g0, g1, g2, g3, g4 = g
     if square:
         p = g1 / (2 * g0)
-        roots = [(t, 2) for t in _quadratic_formula(1, p, (g2 / g0 - p * p) / 2)]
-    else:
-        # remainder r = 16 g0 g - (4 g0 t + g1) g', then g' modulo r
-        ra, rb, rc = 8 * g0 * g2 - 3 * g1 * g1, 12 * g0 * g3 - 2 * g1 * g2, 16 * g0 * g4 - g1 * g3
-        e = 3 * g1 * ra - 4 * g0 * rb
-        d = (e * rc - g3 * ra * ra) / (2 * g2 * ra * ra - 4 * g0 * ra * rc - e * rb)
-        p = g1 / g0 + 2 * d
-        simple = _quadratic_formula(1, p, g2 / g0 + 2 * d * p - d * d)
-        roots = [(d, 2)] + [(t, 1) for t in simple]
-    return [(a * t - b, b * t + a, m) for t, m in roots]
+        return [(t, 2) for t in _quadratic_formula(1, p, (g2 / g0 - p * p) / 2)]
+    # remainder r = 16 g0 g - (4 g0 t + g1) g', then g' modulo r
+    ra, rb, rc = 8 * g0 * g2 - 3 * g1 * g1, 12 * g0 * g3 - 2 * g1 * g2, 16 * g0 * g4 - g1 * g3
+    e = 3 * g1 * ra - 4 * g0 * rb
+    d = (e * rc - g3 * ra * ra) / (2 * g2 * ra * ra - 4 * g0 * ra * rc - e * rb)
+    p = g1 / g0 + 2 * d
+    return [(d, 2)] + [(t, 1) for t in _quadratic_formula(1, p, g2 / g0 + 2 * d * p - d * d)]
 
 
 def _disc_bound(c, i, j, nu) -> tuple:
@@ -644,7 +621,9 @@ def _disc_screen(ai, aj, nu) -> float:
 #     scale)) with mu = (BAND eps + 2^-51) |r|^2: every clause maximum reads
 #     nonzero.
 # The test is one-sided and covers the four roots together: when one fails
-# it, or lies at infinity, all four are classified as before.  On Gaussian
+# it, or its last step was not Newton's, all four are classified on their
+# rows, as are the roots that ``quartic_roots`` places in a rotated chart
+# (``_chart``), which keep no slopes.  On Gaussian
 # pencils the largest ratio of |grad Det| to 8 m |R| at a root measured
 # 0.90, so the constant has little slack.
 _SLOPE = 8.0
@@ -657,7 +636,7 @@ def _certified(roots, scale, gain, eps) -> bool:
     noise = 2.0**-42 * (scale + 1) * gain
     room, clause = eps * scale / 65, (1 + 2.0**-9) * _SLOPE * (kernels.BAND * eps + 2.0**-51) * scale
     for x, _, newton in roots:
-        if newton is None:  # a root at infinity or at zero, beside roots of a cubic
+        if newton is None:  # its last step was not Newton's
             return False
         f, df = newton
         rr = 1.0 + x.real * x.real + x.imag * x.imag
@@ -692,15 +671,17 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     root of 2+1+1 at the linear gcd of f and its derivative, and the simple
     roots beside a multiple one by deflation; placed roots whose product is
     not a multiple of f within noise raise as well.  Four simple roots come
-    from ``_raw_projective_roots`` in closed form, with roots at infinity
-    (1 : 0) where leading coefficients vanish within ``eps``.  Each root is
-    reported in the coordinates of the pencil of phi0 and phi1 (see
+    from Ferrari's closed form (``_polynomial_roots``) in the basis chart y
+    = 1 when |c0| exceeds ``eps`` times the largest coefficient, else in the
+    anchored chart of ``_chart``, where 2+2 and 2+1+1 are placed too.  Each
+    root is reported in the coordinates of the pencil of phi0 and phi1 (see
     :class:`QuarticForm`).
 
-    The list's ``slopes`` attribute holds, for four simple roots, what
-    ``_certified`` reads (the roots of the scaled quartic with their Newton
-    values, its scale and the gain), from which ``analyze_span`` certifies
-    W points in its orthonormal basis; for multiple roots it is None.
+    The list's ``slopes`` attribute holds, for four simple roots of the
+    basis chart, what ``_certified`` reads (the roots of the scaled quartic
+    with their Newton values, its scale and the gain), from which
+    ``analyze_span`` certifies W points in its orthonormal basis; otherwise
+    it is None.
     """
     if q.identically_zero(eps):
         raise IdenticallyZero("quartic vanishes identically")
@@ -716,10 +697,13 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
     if not clear:
         disc_bound, e_i, e_j = _disc_bound(c, i, j, nu)
     if clear or not kernels.vanishes(disc, disc_bound, "quartic discriminant"):
-        roots = _raw_projective_roots(c, eps)
-        if roots[1][1] == 0:
-            raise AmbiguousClassification("simple quartic roots, two leading coefficients within eps")
-        return _Roots([_pencil_point(q.scales, x, y) for x, y, _ in roots], (roots, scale, gain))
+        # a sharp test, not kernels.vanishes: either chart places the roots,
+        # and only the certificate needs the basis chart
+        if abs(c[0]) > eps * max(map(abs, c)):
+            roots = [(x, 1.0, newton) for x, newton in _polynomial_roots(c)]
+            return _Roots([_pencil_point(q.scales, x, y) for x, y, _ in roots], (roots, scale, gain))
+        a, b, g = _chart(c)
+        return _Roots([_pencil_point(q.scales, a * t - b, b * t + a) for t, _ in _polynomial_roots(g)])
     h = kernels.hessian(*c)
     h_max = max(map(abs, h))
     if kernels.vanishes(h_max, 116 * nu, "quartic Hessian"):
@@ -729,11 +713,13 @@ def quartic_roots(q: QuarticForm, eps: float = DEFAULT_EPS) -> list:
         roots = [triple, _simple_beside_triple(c, triple)]
     else:
         minors = max(abs(c[k] * h[n] - c[n] * h[k]) for k in range(5) for n in range(k + 1, 5))
-        roots = _double_roots(c, kernels.vanishes(minors, 2 * nu * (116 + h_max), "quartic square test"))
+        square = kernels.vanishes(minors, 2 * nu * (116 + h_max), "quartic square test")
+        a, b, g = _chart(c)
+        roots = [(a * t - b, b * t + a, m) for t, m in _double_roots(g, square)]
     return _Roots([_pencil_point(q.scales, x, y, m) for x, y, m in _fitted(c, roots, nu)])
 
 
-def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
+def _quadratic_roots(f: QuadraticForm) -> list:
     """Roots of a quadratic form a x^2 + b xy + c y^2 that does not vanish
     identically.
 
@@ -741,7 +727,9 @@ def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
     mode, else against its rounding bound (see the comment above
     ``_CLAUSE_NOISE``).  A double root is one point of multiplicity 2 at
     (-b : 2 a) or (2 c : -b), in the chart of the larger of |a| and |c|;
-    otherwise ``_raw_projective_roots`` gives two simple roots."""
+    two simple roots are (q : a) and (c : q) with q of ``_larger_q``.  q is
+    0 only where the float form is a x^2 or c y^2 and the exact one has two
+    roots, both within rounding of the float form's double root."""
     a, b, c = f.c
     if f.exact is None:
         m, e = max(map(abs, f.c)), _CLAUSE_NOISE * f.amp_scale**2 * _gain(f.scales)
@@ -750,9 +738,10 @@ def _quadratic_roots(f: QuadraticForm, eps: float) -> list:
     else:
         ea, eb, ec = f.exact
         double = not (eb * eb - 4 * ea * ec)
-    if double:
+    q = 0j if double else _larger_q(a, b, c)
+    if not q:
         return [ProjectivePoint(-b, 2 * a, 2) if abs(a) >= abs(c) else ProjectivePoint(2 * c, -b, 2)]
-    return [ProjectivePoint(x, y) for x, y, _ in _raw_projective_roots([a, b, c], eps)]
+    return [ProjectivePoint(q, a), ProjectivePoint(c, q)]
 
 
 def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -> list:
@@ -773,7 +762,7 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
     if not nonzero:
         raise IdenticallyZero("both quadratics vanish identically")
     if len(nonzero) == 1:
-        return _quadratic_roots(nonzero[0], eps)
+        return _quadratic_roots(nonzero[0])
     scale = max(map(abs, f.c)) * max(map(abs, g.c))
     # the float resultant test and the proportional-forms test below stay
     # sharp, outside kernels.vanishes: they only screen candidates, which the
@@ -800,7 +789,7 @@ def common_roots(f: QuadraticForm, g: QuadraticForm, eps: float = DEFAULT_EPS) -
     # it read 5.9 to 6.9 decades below it and none lies above it.  Of two
     # proportional forms the larger one has the smaller relative error
     if max(abs(l0), abs(l1)) <= math.sqrt(eps) * scale:
-        return _quadratic_roots(max(f, g, key=lambda form: max(map(abs, form.c))), eps)
+        return _quadratic_roots(max(f, g, key=lambda form: max(map(abs, form.c))))
     return [ProjectivePoint(-l1, l0)]
 
 

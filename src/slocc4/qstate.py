@@ -427,15 +427,17 @@ def state_from_json(obj) -> PureState:
 
 
 def load_state(fp) -> PureState:
-    """Read a state from a file object or path."""
+    """Read a state from a file object or path.  A path that cannot be read,
+    or holds no UTF-8 text, raises :class:`StateFormatError`."""
     if hasattr(fp, "read"):
         text = fp.read()
     else:
         try:
             with open(fp, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise StateFormatError(f"cannot read {fp}: {exc.strerror or exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            # a UnicodeDecodeError has no strerror; its text names the byte
+            raise StateFormatError(f"cannot read {fp}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -307,9 +307,12 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert "slocc4" in err
 
 
-@pytest.mark.parametrize("name", ["missing.json", "."])
+@pytest.mark.parametrize("name", ["missing.json", ".", "not-utf8.json"])
 def test_classify_unreadable_path(tmp_path, capsys, name):
-    # a missing file and a directory both end in one stderr line, exit 1
+    # a missing file, a directory and a file that holds no UTF-8 text each
+    # end in one stderr line, exit 1
+    if name == "not-utf8.json":
+        (tmp_path / name).write_bytes(b"\xff\xfe\x00bad")
     code, out, err = run_cli(capsys, "classify", str(tmp_path / name))
     assert code == 1
     assert out == ""
@@ -363,6 +366,13 @@ def test_generate_constraint_violation(capsys):
                              "--sign", "minus")
     assert code == 1
     assert "sqrt" in err
+
+
+def test_generate_overflow_is_not_finite(capsys):
+    # mu^2 overflows to inf, which the finite check of the amplitudes reports
+    code, out, err = run_cli(capsys, "generate", "--family", "WW_W", "--param", "mu=1e200")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
 
 
 @pytest.mark.parametrize("family", ["W000_000", "GHZ"])

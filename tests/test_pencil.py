@@ -109,11 +109,6 @@ def _roots(p):
     return [x for x, _ in pencil._polynomial_roots(p)]
 
 
-def _projective_roots(coeffs, eps):
-    """The (x, y) of ``pencil._raw_projective_roots``' (x, y, newton)."""
-    return [(x, y) for x, y, _ in pencil._raw_projective_roots(coeffs, eps)]
-
-
 class TestQuarticRoots:
     def test_monomial_x2y2(self):
         q = QuarticForm(c=np.array([0, 0, 1, 0, 0], dtype=complex), amp_scale=1.0)
@@ -147,6 +142,15 @@ class TestQuarticRoots:
         q = QuarticForm(c=np.zeros(5, dtype=complex), amp_scale=1.0)
         with pytest.raises(IdenticallyZero):
             quartic_roots(q)
+
+    def test_roots_at_four_anchors(self):
+        # x y (x^2 - y^2) vanishes at four of the five anchors of
+        # pencil._chart, whose leading coefficient the fifth keeps nonzero
+        q = QuarticForm(c=np.array([0, 1, 0, -1, 0], dtype=complex), amp_scale=1.0)
+        roots = quartic_roots(q)
+        assert [r.multiplicity for r in roots] == [1, 1, 1, 1]
+        for x, y in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            assert any(r.chordal(ProjectivePoint(x, y)) <= 1e-15 for r in roots)
 
 
 def form_with_roots(roots):
@@ -254,14 +258,16 @@ class TestQuarticRootsReference:
         with pytest.raises(AmbiguousClassification):
             quartic_roots(QuarticForm(c=c, amp_scale=1.0), EPS)
 
-    def test_two_leading_coefficients_within_eps_raise(self):
-        # simple roots, two of them at infinity under eps = 0.1: the
-        # multiplicity pattern and the roots contradict each other.  The
-        # coefficients are 256 times those of unit vectors' scale, so the
-        # quartic itself lies far above its zero band (2560 times eps)
-        c = tuple(256 * z for z in (0.05, 0.05, 1, 0.3, 0.7))
-        with pytest.raises(AmbiguousClassification, match="two leading coefficients"):
-            quartic_roots(QuarticForm(c, 1.0), eps=0.1)
+    def test_two_leading_coefficients_within_eps_are_simple_roots(self):
+        # under eps = 0.1 both leading coefficients lie within eps of the
+        # largest, and the chart of pencil._chart places the four simple
+        # roots, with no slopes to certify.  The coefficients are 256 times
+        # those of unit vectors' scale, so the quartic itself lies far above
+        # its zero band (2560 times eps)
+        c = np.array([256 * z for z in (0.05, 0.05, 1, 0.3, 0.7)], dtype=complex)
+        got = quartic_roots(QuarticForm(tuple(c), 1.0), eps=0.1)
+        assert [p.multiplicity for p in got] == [1, 1, 1, 1] and got.slopes is None
+        assert_within_condition([p.x / p.y for p in got], np.roots(c), c)
 
     def test_thresholds_follow_amplitude_scale(self):
         # the same quartic from vectors 2^10 larger has 2^40 larger
@@ -321,34 +327,48 @@ class TestClosedFormRoots:
             got = _roots(c.tolist())
             assert max(err for err, _ in matched_errors(got, np.roots(c))) <= 1e-12
 
-    def test_gaussian_cubics_match_np_roots(self):
-        rng = np.random.default_rng(12)
-        for c in gaussian(rng, 2000, 4):
-            got = _roots(c.tolist())
-            assert max(err for err, _ in matched_errors(got, np.roots(c))) <= 1e-12
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_leading_coefficients_within_eps_are_roots_at_infinity(self, k):
+    # two leading coefficients 1e-12 of the largest put two roots 1e-6 from
+    # each other, within noise of a double root, so k = 2 is resolved at a
+    # larger eps
+    @pytest.mark.parametrize("k, damping, eps", [(1, 1e-12, EPS), (2, 1e-4, 1e-3)], ids=("k1", "k2"))
+    def test_leading_coefficients_within_eps_take_the_anchored_chart(self, k, damping, eps):
+        # k leading coefficients within eps of the largest: quartic_roots
+        # places the four simple roots in the chart of pencil._chart, with no
+        # slopes.  np.roots loses accuracy on a tiny leading coefficient, so
+        # the reference is the reversed polynomial's roots s = y / x.  Roots
+        # with |s| >= 1 are checked within condition, and those near (1 : 0),
+        # whose tiny s a rotated chart places to an absolute error, within
+        # 1e-13 chordal
         rng = np.random.default_rng(13 + k)
         for c in gaussian(rng, 200, 5):
-            c[:k] *= 1e-12
-            pts = _projective_roots(c.tolist(), EPS)
-            assert pts[:k] == [(1.0, 0.0)] * k
-            assert [y for _, y in pts[k:]] == [1.0] * (4 - k)
-            assert_within_condition([x for x, _ in pts[k:]], np.roots(c[k:]), c[k:])
-        # just above eps times the largest coefficient, it is kept
+            c[:k] *= damping
+            got = quartic_roots(QuarticForm(c, 1.0), eps)
+            assert [p.multiplicity for p in got] == [1, 1, 1, 1] and got.slopes is None
+            ref = np.roots(c[::-1])
+            for s in ref[abs(ref) < 1]:
+                assert min(p.chordal(ProjectivePoint(1, s)) for p in got) <= 1e-13
+            finite = [p.x / p.y for p in got if abs(p.x) <= abs(p.y)]
+            assert_within_condition(finite, 1 / ref[abs(ref) >= 1], c)
+        # just above eps times the largest coefficient, the basis chart keeps it
         c = np.array([3 * EPS, 1, 0.5j, -1, 2])
-        assert all(y == 1.0 for _, y in _projective_roots(c.tolist(), EPS))
+        assert quartic_roots(QuarticForm(c, 1.0), EPS).slopes is not None
 
     @pytest.mark.parametrize("zeros", [1, 2])
     def test_exact_trailing_zeros_are_roots_at_zero(self, zeros):
+        # a simple or double root at (0 : 1), beside the roots of the rest.
+        # The simple roots beside a double root come from deflation in the
+        # chart of pencil._chart, to a normwise accuracy: up to 141 u times
+        # their condition (239 u in the chart of four anchors)
         rng = np.random.default_rng(15 + zeros)
         for c in gaussian(rng, 200, 5):
             c[5 - zeros:] = 0
-            pts = _projective_roots(c.tolist(), EPS)
-            assert pts[4 - zeros:] == [(0j, 1.0)] * zeros
+            got = list(quartic_roots(QuarticForm(c, 1.0), EPS))
+            zero = min(got, key=ProjectivePoint(0, 1).chordal)
+            assert zero.multiplicity == zeros and zero.chordal(ProjectivePoint(0, 1)) <= 1e-14
+            got.remove(zero)
             rest = c[: 5 - zeros]
-            assert_within_condition([x for x, _ in pts[: 4 - zeros]], np.roots(rest), rest)
+            assert_within_condition([p.x / p.y for p in got], np.roots(rest), rest,
+                                    factor=128 if zeros == 1 else 1024)
 
     def test_roots_spanning_eight_decades(self):
         rng = np.random.default_rng(17)
@@ -499,10 +519,29 @@ class TestCommonRoots:
         noisy_c = tuple(z + 1e-8 if k == moved else z for k, z in enumerate(c))
         f = (QuadraticForm(noisy_c, 1.0, lift(c)) if exact
              else QuadraticForm(noisy_c, 1.0, scales=(1.0, 1e6, 1.0)))
-        (pt,) = pencil._quadratic_roots(f, EPS)
+        (pt,) = pencil._quadratic_roots(f)
         assert pt.multiplicity == 2 and pt.chordal(ProjectivePoint(*root)) <= 1e-8
         if not exact:
-            assert len(pencil._quadratic_roots(f._replace(scales=(1.0, 0.0, 1.0)), EPS)) == 2
+            assert len(pencil._quadratic_roots(f._replace(scales=(1.0, 0.0, 1.0)))) == 2
+
+    def test_exact_split_below_float_resolution(self):
+        # the exact form x^2 + 1e-300 x y has two roots 1e-300 apart, which
+        # its float coefficients (1, 0, 0) cannot place apart: one double point
+        f = QuadraticForm((1 + 0j, 0j, 0j), 1.0, lift((1, 1e-300, 0)))
+        zero = QuadraticForm((0j, 0j, 0j), 1.0, lift((0, 0, 0)))
+        assert common_roots(f, zero) == [ProjectivePoint(0, 1, 2)]
+
+    # a x^2 + 2 x y - y^2 has the roots (-1 - r : a) and (1 : 1 + r), r =
+    # sqrt(1 + a): at a = 0 one of them is (1 : 0), and at 0 < a <= eps max
+    # |c| it lies near there
+    @pytest.mark.parametrize("a", [0.0, 1e-12])
+    def test_root_at_or_near_infinity(self, a):
+        f = QuadraticForm((complex(a), 2 + 0j, -1 + 0j), 1.0)
+        pts = common_roots(f, QuadraticForm((0j, 0j, 0j), 1.0), EPS)
+        r = np.sqrt(1 + a)
+        assert [p.multiplicity for p in pts] == [1, 1]
+        for want in (ProjectivePoint(-1 - r, a), ProjectivePoint(1, 1 + r)):
+            assert min(p.chordal(want) for p in pts) <= 1e-15
 
     def test_both_zero_raises(self):
         pairs = clause_quadratics(np.eye(8)[0], np.eye(8)[7])
