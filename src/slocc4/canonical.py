@@ -8,12 +8,14 @@ fixed states; none of them is trusted by citation, each is validated by
 the classifier itself in the test suite.
 """
 
+import math
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintViolation, Slocc4Error
+from .errors import ConstraintViolation, DimensionMismatch, Slocc4Error
+from .kernels import SCALE_HI, SCALE_LO
 from .qstate import LocalOperator, PureState, SloccOp
 
 GHZ3 = (1, 0, 0, 0, 0, 0, 0, 1)
@@ -53,15 +55,29 @@ def ww_phi0(mu: complex, a3: complex, a5: complex, sign: int) -> np.ndarray:
         raise ConstraintViolation("a3 != 0 violated")
     if a5 == 0:
         raise ConstraintViolation("a5 != 0 violated")
-    root = sign * np.sqrt(a3 * a5)
+    # outside the scale window, a3 and a5 are divided by the power of two
+    # that brings their largest part into [0.5, 1), so that a3 a5 and the
+    # products of a4 stay in range: root is sqrt(b3 b5) times that power,
+    # which keeps its branch, and a4 is of degree 0 in (a3, a5, root)
+    top = max(abs(a3.real), abs(a3.imag), abs(a5.real), abs(a5.imag))
+    k = 0 if SCALE_LO <= top <= SCALE_HI else math.frexp(top)[1]
+    b3, b5 = _ldexp(a3, -k), _ldexp(a5, -k)
+    b_root = sign * np.sqrt(b3 * b5)
+    root = _ldexp(b_root, k)
     a6 = a3 + a5 + 2 * root
     if a6 == 0:
         raise ConstraintViolation(
             "a3 + a5 +/- 2*sqrt(a3*a5) != 0 violated for the chosen branch"
         )
     a0 = -(mu * mu) / (4 * a3)
-    a4 = mu * (a5 * (a3 + root)) / (a3 * (a5 + root))
+    a4 = mu * (b5 * (b3 + b_root)) / (b3 * (b5 + b_root))
     return np.array([a0, 0, -mu, a3, a4, a5, a6, 0], dtype=np.complex128)
+
+
+def _ldexp(z, k) -> complex:
+    """z times 2^k, exactly while the parts stay normal floats (a part that
+    overflows reads inf)."""
+    return complex(np.ldexp(z.real, k), np.ldexp(z.imag, k))
 
 
 def _assemble(phi0, phi1) -> PureState:
@@ -142,7 +158,10 @@ def canonical_pencil(spec: FamilySpec):
         builder = FAMILY_PENCILS[spec.family]
     except KeyError:
         raise Slocc4Error(f"unknown 4-qubit family {spec.family!r}") from None
-    return builder(_family_params(spec), spec.sign)
+    params = _family_params(spec)
+    # an amplitude that overflows reads inf or nan, which PureState reports
+    with np.errstate(all="ignore"):
+        return builder(params, spec.sign)
 
 
 def make_canonical(spec: FamilySpec) -> PureState:
@@ -169,10 +188,13 @@ def random_slocc(n: int, max_condition: float = 1e3, seed=None) -> SloccOp:
     numbers) stays below ``max_condition``.  Determinants have unit
     magnitude, which keeps verdict margins independent of an arbitrary
     scale; singular values always lie in
-    [1/sqrt(max_condition), sqrt(max_condition)].
+    [1/sqrt(max_condition), sqrt(max_condition)].  ``n`` must be 1 to 4 and
+    ``max_condition`` finite and at least 1.
     """
-    if max_condition < 1:
-        raise Slocc4Error("max_condition must be >= 1")
+    if n not in range(1, 5):
+        raise DimensionMismatch(f"random_slocc needs 1 to 4 qubits, got n={n}")
+    if not 1 <= max_condition < math.inf:
+        raise Slocc4Error("max_condition must be finite and >= 1")
     rng = np.random.default_rng(seed)
     wmax = np.log10(max_condition) / (2 * n)
     t = 10.0 ** rng.uniform(0.0, wmax, size=n)

@@ -321,33 +321,18 @@ def _polished(p, xs) -> list:
 
 
 def cluster_points(points, radius: float) -> list:
-    """Greedy clustering of projective points; multiplicities are summed
-    and each cluster is replaced by a phase-aligned weighted mean."""
+    """Greedy clustering of projective points: a point joins the first
+    cluster whose first point lies within ``radius``, and each cluster is
+    its first point with the multiplicities summed."""
     clusters = []
     for p in points:
-        for members in clusters:
-            if members[0].chordal(p) <= radius:
-                members.append(p)
+        for i, first in enumerate(clusters):
+            if first.chordal(p) <= radius:
+                clusters[i] = ProjectivePoint(first.x, first.y, first.multiplicity + p.multiplicity)
                 break
         else:
-            clusters.append([p])
-    merged = []
-    for members in clusters:
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        ref = members[0]
-        accx = 0.0 + 0.0j
-        accy = 0.0 + 0.0j
-        total = 0
-        for p in members:
-            inner = p.x * ref.x.conjugate() + p.y * ref.y.conjugate()
-            phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-            accx += p.multiplicity * p.x / phase
-            accy += p.multiplicity * p.y / phase
-            total += p.multiplicity
-        merged.append(ProjectivePoint(accx, accy, total))
-    return merged
+            clusters.append(p)
+    return clusters
 
 
 # Root multiplicities of a quartic f = c0 x^4 + c1 x^3 y + .. + c4 y^4 come
@@ -818,27 +803,24 @@ def _classes(b0, b1, points, mapped, generic, eps, ctx) -> list:
     """The class to record at each candidate point (x : y) of ``points``:
     classify3 of the row x b0 + y b1 (``kernels.pencil_elements``).
 
-    In exact mode (``ctx`` given) the exact class at the snapped point
-    (``mapped``, the same points in the coordinates of the lifted vectors,
-    snapped by ``ctx.snapped``) is recorded when it differs from
-    ``generic``, and a float value in the band at such a point does not
-    count: when the rows raise together, only the rows whose exact class is
-    generic are classified again.  Exact
+    In exact mode (``ctx`` given) each point is first classified exactly at
+    its snapped point (``mapped``, the same points in the coordinates of the
+    lifted vectors, snapped by ``ctx.snapped``), and that class is recorded
+    when it differs from ``generic``; only the rows whose exact class is
+    ``generic`` (every row in float mode) are classified in floats, so a
+    float value in the band at any other point does not count.  Exact
     arithmetic may sharpen a verdict (certify the point as exceptional) but
     never erases numerically detected structure: an irrational point, or
     float noise that pushes the input off the exact variety, leaves the
     exact class generic and the float class stands.
     """
-    rows = kernels.pencil_elements(b0, b1, [(pt.x, pt.y) for pt in points])
-    if ctx is None:
-        return classify3_batch(rows, eps)
-    exact_rows = kernels.pencil_elements(ctx.p0, ctx.p1, map(ctx.snapped, mapped))
-    exact = [classify3_exact_amps(row) for row in exact_rows]
-    try:
-        floats = classify3_batch(rows, eps)
-    except AmbiguousClassification:
-        floats = [None if cls != generic else classify3_batch([row], eps)[0] for row, cls in zip(rows, exact)]
-    return [cls if cls != generic else f for cls, f in zip(exact, floats)]
+    exact = [generic] * len(points)
+    if ctx is not None:
+        exact_rows = kernels.pencil_elements(ctx.p0, ctx.p1, map(ctx.snapped, mapped))
+        exact = [classify3_exact_amps(row) for row in exact_rows]
+    xy = [(pt.x, pt.y) for pt, cls in zip(points, exact) if cls == generic]
+    floats = iter(classify3_batch(kernels.pencil_elements(b0, b1, xy), eps))
+    return [cls if cls != generic else next(floats) for cls in exact]
 
 
 def analyze_span(
@@ -945,7 +927,7 @@ def _profile_degenerate_quartic(e0, e1, scales, eps, ctx):
 
     # a radius, not a zero test: it merges the common roots of different
     # clause pairs at one point, and stays outside kernels.vanishes
-    centroids = cluster_points(candidates, math.sqrt(eps))
-    mapped = [_pencil_point(scales, pt.x, pt.y) for pt in centroids]
-    classes = _classes(e0, e1, centroids, mapped, generic, eps, ctx)
+    distinct = cluster_points(candidates, math.sqrt(eps))
+    mapped = [_pencil_point(scales, pt.x, pt.y) for pt in distinct]
+    classes = _classes(e0, e1, distinct, mapped, generic, eps, ctx)
     return SpanProfile(generic, tuple((pt, cls) for pt, cls in zip(mapped, classes) if cls != generic))

@@ -243,8 +243,12 @@ def span_dimension(d: Decomposition, eps: float = DEFAULT_EPS) -> int:
     residual states vanishes against ``eps / kernels.BAND`` times the
     largest by ``kernels.vanishes``, which raises between its thresholds,
     else 2: the band lies below ``eps``, as in ``pencil.analyze_span``.
+    Both states are first moved into the scale window by one exact power of
+    two (``kernels.windowed``), so that rescaling them changes no decision.
     """
-    u, v = d.phi0.values, d.phi1.values
+    half = len(d.phi0.values)
+    both = windowed(d.phi0.values + d.phi1.values)[0]
+    u, v = both[:half], both[half:]
     lo, hi = _herm2_eigs(_norm2(u), _norm2(v), sum([a.conjugate() * b for a, b in zip(u, v)]))
     if hi <= 0.0:
         raise ZeroState("both residual states vanish")

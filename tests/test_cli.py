@@ -9,7 +9,7 @@ import pytest
 from slocc4.canonical import FamilySpec, make_canonical
 from slocc4.cli import main, run_fuzz_empty
 from slocc4.errors import Slocc4Error
-from slocc4.qstate import PureState, save_state, state_to_json
+from slocc4.qstate import PureState, save_state, state_from_json, state_to_json
 
 from conftest import FAMILY_TAGS, W3
 
@@ -368,11 +368,27 @@ def test_generate_constraint_violation(capsys):
     assert "sqrt" in err
 
 
-def test_generate_overflow_is_not_finite(capsys):
-    # mu^2 overflows to inf, which the finite check of the amplitudes reports
-    code, out, err = run_cli(capsys, "generate", "--family", "WW_W", "--param", "mu=1e200")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, param", [("WW_W", "mu=1e200"), ("W0kPsi_W", "lambda=1e200")])
+def test_generate_overflow_is_not_finite(family, param, capsys):
+    # mu^2 (lambda^2, inside np.kron) overflows to inf, which the finite
+    # check of the amplitudes reports in one line, with no numpy warning
+    code, out, err = run_cli(capsys, "generate", "--family", family, "--param", param)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "must be finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_generate_ww_w_at_extreme_scales(scale, capsys):
+    # a3 a5 would overflow (underflow to 0, then a4 = 0/0): phi0 is scale
+    # times the phi0 of a3 = a5 = 1, bit for bit, and phi1 is W3
+    code, out, err = run_cli(capsys, "generate", "--family", "WW_W",
+                             "--param", f"a3={scale}", "--param", f"a5={scale}")
+    assert code == 0 and err == ""
+    amps = state_from_json(json.loads(out)).amps
+    assert np.array_equal(amps[:8], make_canonical(FamilySpec("WW_W")).amps[:8] * scale)
+    assert np.array_equal(amps[8:], W3)
 
 
 @pytest.mark.parametrize("family", ["W000_000", "GHZ"])

@@ -140,7 +140,13 @@ _RAISES = {
     "canonical_pencil unknown family": (lambda: canonical_pencil(FamilySpec("W000")), Slocc4Error,
                                         "unknown 4-qubit family 'W000'"),
     "random_slocc max_condition < 1": (lambda: random_slocc(4, 0.5), Slocc4Error,
-                                       "max_condition must be >= 1"),
+                                       "max_condition must be finite and >= 1"),
+    "random_slocc max_condition nan": (lambda: random_slocc(2, math.nan), Slocc4Error,
+                                       "max_condition must be finite and >= 1"),
+    "random_slocc max_condition inf": (lambda: random_slocc(2, math.inf), Slocc4Error,
+                                       "max_condition must be finite and >= 1"),
+    "random_slocc 0 qubits": (lambda: random_slocc(0), DimensionMismatch,
+                              "random_slocc needs 1 to 4 qubits, got n=0"),
     "decompose qubit 5": (lambda: decompose(_WGHZ_W, 5), DimensionMismatch,
                           "distinguished qubit 5 out of range 1..4"),
     "cut_matrix 3 qubits": (lambda: cut_matrix(PureState(GHZ3), (1, 2)), DimensionMismatch,

@@ -699,6 +699,8 @@ def test_cluster_points_merges_and_sums():
     assert len(merged) == 2
     infinity = [p for p in merged if p.chordal(ProjectivePoint(1, 0)) < 1e-6]
     assert infinity[0].multiplicity == 3
+    # a cluster keeps its first point's coordinates
+    assert infinity[0].chordal(ProjectivePoint(1, 0)) == 0.0
 
 
 # The W certificate of simple quartic roots (the comment above pencil._SLOPE).

@@ -22,6 +22,7 @@ from slocc4 import (
     decompose,
     permute_qubits,
     quartic,
+    span_dimension,
     w_clauses,
 )
 from slocc4.canonical import TRI_STATES, FamilySpec, make_canonical, random_slocc
@@ -83,6 +84,7 @@ def test_pow2_rescaling_changes_no_verdict(tag, tri, seed, perm, k):
     assert _outcome(lambda s: classify4_all(s)[1], scaled) == label
 
     d = decompose(state, 1)
+    assert _outcome(span_dimension, decompose(scaled, 1)) == _outcome(span_dimension, d)
     profile = _outcome(analyze_span, d.phi0.amps, d.phi1.amps)
     scaled_profile = _outcome(analyze_span, _scaled(d.phi0.amps, k), _scaled(d.phi1.amps, k))
     assert _profile_key(scaled_profile) == _profile_key(profile)
@@ -124,3 +126,6 @@ def test_pencil_helpers_at_extreme_scales(factor):
     ]
     assert w_clauses(W3 * factor).clause_truth == (True, True, True)
     assert classify3(PureState(W3 * factor)).value == "W"
+    ghz4 = np.zeros(16, dtype=np.complex128)
+    ghz4[[0, 15]] = factor
+    assert span_dimension(decompose(PureState(ghz4), 1)) == 2

@@ -190,3 +190,14 @@ def test_exact_certificate_is_not_blocked_by_a_float_band():
     assert profile.generic_type == TriClass.GHZ
     assert {cls for _, cls in profile.exceptional} == {TriClass.W}
     assert any(pt.y == 0 for pt, _ in profile.exceptional)
+
+
+def test_exact_mode_raises_where_the_exact_class_is_generic():
+    # adding 2^-40 |111> moves that W point to (1 : -2^-40), which needs a
+    # denominator above the snap's 1e12: the snapped row is GHZ, the
+    # generic class, so the float row decides there and its W clause, 4
+    # times its bound, raises in exact mode too
+    eps = 2.0**-10
+    phi0, phi1 = [0, 1, 1, 0, 2.0**-8, 0, 0, 2.0**-40], [1, 0, 0, 0, 0, 0, 0, 1]
+    with pytest.raises(AmbiguousClassification, match="^W clause at 4 times"):
+        analyze_span(phi0, phi1, eps, exact=True)
