@@ -6,17 +6,19 @@ separable elements, and a three-parameter family whose pencil contains
 only W vectors.  The remaining eight 4-qubit representatives are simple
 fixed states; none of them is trusted by citation, each is validated by
 the classifier itself in the test suite.
+
+The builders write each amplitude in closed form on Python ``complex``
+numbers, the representation ``PureState.values`` holds, so building a
+member loads no numpy; only ``random_slocc`` imports it.
 """
 
+import cmath
 import math
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConstraintViolation, DimensionMismatch, Slocc4Error
-from .kernels import SCALE_HI, SCALE_LO
-from .qstate import LocalOperator, PureState, SloccOp
+from .qstate import LocalOperator, PureState, SloccOp, complex_values
 
 GHZ3 = (1, 0, 0, 0, 0, 0, 0, 1)
 W3 = (0, 1, 1, 0, 1, 0, 0, 0)
@@ -32,21 +34,22 @@ TRI_STATES = {
 }
 
 
-def okpsi_w_phi0(lam: complex) -> np.ndarray:
+def okpsi_w_phi0(lam: complex) -> tuple:
     """phi0 of the one-parameter family: (lam|0>+|1>)(-lam|00>+|01>+|10>)."""
     lam = complex(lam)
-    return np.kron(
-        np.array([lam, 1], dtype=np.complex128),
-        np.array([-lam, 1, 1, 0], dtype=np.complex128),
-    )
+    return (lam * -lam, lam, lam, 0j, -lam, 1 + 0j, 1 + 0j, 0j)
 
 
-def ww_phi0(mu: complex, a3: complex, a5: complex, sign: int) -> np.ndarray:
+def ww_phi0(mu: complex, a3: complex, a5: complex, sign: int) -> tuple:
     """phi0 of the three-parameter family.
 
-    The square root is the principal branch (nonnegative real part,
-    positive imaginary part on the negative real axis); the +/- choice is
-    the explicit ``sign`` argument.
+    With r = sign sqrt(a3 a5) it is (a0, 0, -mu, a3, a4, a5, a6, 0) for
+    a0 = -mu^2 / (4 a3), a4 = mu r / a3 and a6 = a3 + a5 + 2 r.  The ratio
+    a4 = mu a5 (a3 + r) / (a3 (a5 + r)) is the same number wherever a6 != 0,
+    since r^2 = a3 a5 gives a5 (a3 + r) = r (r + a5).  The square root is
+    the principal branch (nonnegative real part, positive imaginary part on
+    the negative real axis); the +/- choice is the explicit ``sign``
+    argument.
     """
     mu, a3, a5 = complex(mu), complex(a3), complex(a5)
     if sign not in (1, -1):
@@ -55,65 +58,46 @@ def ww_phi0(mu: complex, a3: complex, a5: complex, sign: int) -> np.ndarray:
         raise ConstraintViolation("a3 != 0 violated")
     if a5 == 0:
         raise ConstraintViolation("a5 != 0 violated")
-    # outside the scale window, a3 and a5 are divided by the power of two
-    # that brings their largest part into [0.5, 1), so that a3 a5 and the
-    # products of a4 stay in range: root is sqrt(b3 b5) times that power,
-    # which keeps its branch, and a4 is of degree 0 in (a3, a5, root)
-    top = max(abs(a3.real), abs(a3.imag), abs(a5.real), abs(a5.imag))
-    k = 0 if SCALE_LO <= top <= SCALE_HI else math.frexp(top)[1]
-    b3, b5 = _ldexp(a3, -k), _ldexp(a5, -k)
-    b_root = sign * np.sqrt(b3 * b5)
-    root = _ldexp(b_root, k)
-    a6 = a3 + a5 + 2 * root
+    # mu = m 4^km, a3 = b3 4^k3 and a5 = b5 4^k5 with the larger parts of
+    # m, b3 and b5 in [1/4, 1), so that each amplitude leaves the normal
+    # float range only at its last power of two; sqrt(a3 a5) = sqrt(b3 b5)
+    # 2^(k3 + k5) keeps the branch, since 4^(k3 + k5) > 0
+    (m, km), (b3, k3), (b5, k5) = map(_frexp4, (mu, a3, a5))
+    root = sign * cmath.sqrt(b3 * b5)
+    a6 = a3 + a5 + 2 * _ldexp(root, k3 + k5)
     if a6 == 0:
-        raise ConstraintViolation(
-            "a3 + a5 +/- 2*sqrt(a3*a5) != 0 violated for the chosen branch"
-        )
-    a0 = -(mu * mu) / (4 * a3)
-    a4 = mu * (b5 * (b3 + b_root)) / (b3 * (b5 + b_root))
-    return np.array([a0, 0, -mu, a3, a4, a5, a6, 0], dtype=np.complex128)
+        raise ConstraintViolation("a3 + a5 +/- 2*sqrt(a3*a5) != 0 violated for the chosen branch")
+    return (_ldexp(-m * (m / b3) / 4, 4 * km - 2 * k3), 0j, -mu, a3,
+            _ldexp(m * (root / b3), 2 * km + k5 - k3), a5, a6, 0j)
 
 
-def _ldexp(z, k) -> complex:
-    """z times 2^k, exactly while the parts stay normal floats (a part that
-    overflows reads inf)."""
-    return complex(np.ldexp(z.real, k), np.ldexp(z.imag, k))
+def _frexp4(z: complex) -> tuple:
+    """(b, k) with z = b 4^k and the larger part of b in [1/4, 1), or (0, 0)."""
+    k = (math.frexp(max(abs(z.real), abs(z.imag)))[1] + 1) // 2
+    return _ldexp(z, -2 * k), k
 
 
-def _assemble(phi0, phi1) -> PureState:
-    """|0> phi0 + |1> phi1 as a 4-qubit state."""
-    return PureState(np.concatenate([np.asarray(phi0, dtype=np.complex128),
-                                     np.asarray(phi1, dtype=np.complex128)]))
+def _ldexp(z: complex, k: int) -> complex:
+    """z times 2^k, rounded once; a part beyond the float range reads inf."""
+    try:
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    except OverflowError:
+        return complex(math.inf, math.inf)
 
 
-def _pencil_fixed(phi0, phi1):
-    def build(params, sign):
-        return np.array(phi0, dtype=np.complex128), np.array(phi1, dtype=np.complex128)
-
-    return build
-
-
-def _pencil_okpsi_w(params, sign):
-    return okpsi_w_phi0(params["lambda"]), np.array(W3, dtype=np.complex128)
-
-
-def _pencil_ww(params, sign):
-    return (ww_phi0(params["mu"], params["a3"], params["a5"], sign),
-            np.array(W3, dtype=np.complex128))
-
-
-#: Pencil builders (phi0, phi1) for the ten 4-qubit superclasses.
+#: Pencils (phi0, phi1) of the ten 4-qubit superclasses: the fixed ones as
+#: pairs, the two parameterized ones as builders of (params, sign).
 FAMILY_PENCILS = {
-    "W000_000": _pencil_fixed((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
-    "W000_0Psi": _pencil_fixed((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 0)),
-    "W000_GHZ": _pencil_fixed((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1, 1, 0)),
-    "W000_W": _pencil_fixed((1, 0, 0, 0, 0, 0, 0, 0), W3),
-    "W0kPsi_0kPsi": _pencil_fixed((1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 0)),
-    "W0iPsi_0jPsi": _pencil_fixed((1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 0)),
-    "W0Psi_GHZ": _pencil_fixed((0, 1, 1, 0, 0, 0, 0, 0), GHZ3),
-    "W0kPsi_W": _pencil_okpsi_w,
-    "WGHZ_W": _pencil_fixed(GHZ3, W3),
-    "WW_W": _pencil_ww,
+    "W000_000": ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    "W000_0Psi": ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 0)),
+    "W000_GHZ": ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1, 1, 0)),
+    "W000_W": ((1, 0, 0, 0, 0, 0, 0, 0), W3),
+    "W0kPsi_0kPsi": ((1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 0)),
+    "W0iPsi_0jPsi": ((1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 0)),
+    "W0Psi_GHZ": ((0, 1, 1, 0, 0, 0, 0, 0), GHZ3),
+    "W0kPsi_W": lambda p, sign: (okpsi_w_phi0(p["lambda"]), W3),
+    "WGHZ_W": (GHZ3, W3),
+    "WW_W": lambda p, sign: (ww_phi0(p["mu"], p["a3"], p["a5"], sign), W3),
 }
 
 #: Parameters of the two parameterized families, with their defaults; the
@@ -152,31 +136,32 @@ def _family_params(spec: FamilySpec) -> dict:
     return {**defaults, **spec.params}
 
 
-def canonical_pencil(spec: FamilySpec):
-    """The (phi0, phi1) pencil of a 4-qubit canonical family member."""
+def canonical_pencil(spec: FamilySpec) -> tuple:
+    """The (phi0, phi1) pencil of a 4-qubit canonical family member, as two
+    tuples of complex amplitudes."""
     try:
-        builder = FAMILY_PENCILS[spec.family]
+        pencil = FAMILY_PENCILS[spec.family]
     except KeyError:
         raise Slocc4Error(f"unknown 4-qubit family {spec.family!r}") from None
     params = _family_params(spec)
-    # an amplitude that overflows reads inf or nan, which PureState reports
-    with np.errstate(all="ignore"):
-        return builder(params, spec.sign)
+    phi0, phi1 = pencil(params, spec.sign) if callable(pencil) else pencil
+    return complex_values(phi0), complex_values(phi1)
 
 
 def make_canonical(spec: FamilySpec) -> PureState:
     """Exact amplitude vector of a canonical family member.
 
-    4-qubit families assemble |0> phi0 + |1> phi1 from their pencil;
-    3-qubit tags return the fixed representatives.  A parameter name the
-    family does not take, or a sign -1 on a family other than ``WW_W``,
-    raises :class:`ConstraintViolation`.
+    4-qubit families concatenate phi0 and phi1 of their pencil into
+    |0> phi0 + |1> phi1; 3-qubit tags return the fixed representatives.  A
+    parameter name the family does not take, or a sign -1 on a family other
+    than ``WW_W``, raises :class:`ConstraintViolation`; an amplitude that
+    overflows raises :class:`StateFormatError` from :class:`PureState`.
     """
     if spec.family in TRI_STATES:
         _family_params(spec)
-        return PureState(np.array(TRI_STATES[spec.family], dtype=np.complex128))
+        return PureState(TRI_STATES[spec.family])
     phi0, phi1 = canonical_pencil(spec)
-    return _assemble(phi0, phi1)
+    return PureState(phi0 + phi1)
 
 
 def random_slocc(n: int, max_condition: float = 1e3, seed=None) -> SloccOp:
@@ -195,20 +180,21 @@ def random_slocc(n: int, max_condition: float = 1e3, seed=None) -> SloccOp:
         raise DimensionMismatch(f"random_slocc needs 1 to 4 qubits, got n={n}")
     if not 1 <= max_condition < math.inf:
         raise Slocc4Error("max_condition must be finite and >= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     wmax = np.log10(max_condition) / (2 * n)
     t = 10.0 ** rng.uniform(0.0, wmax, size=n)
-    u = _haar_unitaries(rng, n)
-    v = _haar_unitaries(rng, n)
+
+    def haar_unitaries():
+        z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        return q * (d / np.abs(d))[:, None, :]
+
+    u, v = haar_unitaries(), haar_unitaries()
     sv = np.zeros((n, 2, 2))
     sv[:, 0, 0] = t
     sv[:, 1, 1] = 1.0 / t
     mats = u @ sv @ np.conj(np.swapaxes(v, 1, 2))
     return SloccOp(tuple(LocalOperator(m) for m in mats))
-
-
-def _haar_unitaries(rng, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]

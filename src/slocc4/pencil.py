@@ -235,12 +235,12 @@ def _larger_q(a, b, c) -> complex:
     return -0.5 * (b + s)
 
 
-def _quadratic_formula(a, b, c) -> tuple:
-    """Both roots of a x^2 + b x + c (a != 0), cancellation-safe."""
+def _quadratic_formula(b, c) -> tuple:
+    """Both roots of x^2 + b x + c, cancellation-safe."""
     if c == 0:
-        return (0.0 + 0.0j, -b / a)
-    q = _larger_q(a, b, c)
-    return (q / a, c / q)
+        return (0.0 + 0.0j, -b)
+    q = _larger_q(1, b, c)
+    return (q, c / q)
 
 
 #: Cube roots of unity other than 1.
@@ -285,7 +285,7 @@ def _polynomial_roots(p) -> list:
     m = max((z - third for z in zs), key=abs)
     s = cmath.sqrt(2 * m)
     half, t = 0.5 * pp + m, qq / (2 * s) if s else 0j
-    xs = [y - shift for y in _quadratic_formula(1, -s, half + t) + _quadratic_formula(1, s, half - t)]
+    xs = [y - shift for y in _quadratic_formula(-s, half + t) + _quadratic_formula(s, half - t)]
     return _polished(p, xs)
 
 
@@ -520,13 +520,13 @@ def _double_roots(g, square: bool) -> list:
     g0, g1, g2, g3, g4 = g
     if square:
         p = g1 / (2 * g0)
-        return [(t, 2) for t in _quadratic_formula(1, p, (g2 / g0 - p * p) / 2)]
+        return [(t, 2) for t in _quadratic_formula(p, (g2 / g0 - p * p) / 2)]
     # remainder r = 16 g0 g - (4 g0 t + g1) g', then g' modulo r
     ra, rb, rc = 8 * g0 * g2 - 3 * g1 * g1, 12 * g0 * g3 - 2 * g1 * g2, 16 * g0 * g4 - g1 * g3
     e = 3 * g1 * ra - 4 * g0 * rb
     d = (e * rc - g3 * ra * ra) / (2 * g2 * ra * ra - 4 * g0 * ra * rc - e * rb)
     p = g1 / g0 + 2 * d
-    return [(d, 2)] + [(t, 1) for t in _quadratic_formula(1, p, g2 / g0 + 2 * d * p - d * d)]
+    return [(d, 2)] + [(t, 1) for t in _quadratic_formula(p, g2 / g0 + 2 * d * p - d * d)]
 
 
 def _disc_bound(c, i, j, nu) -> tuple:
@@ -836,7 +836,7 @@ def analyze_span(
     phi0 and phi1 (see :class:`QuarticForm`).  If the quartic is nonzero
     the generic element is GHZ and its roots are the exceptional points:
     when the slopes that ``quartic_roots`` leaves certify all four as W
-    points (``_certified``, float mode only), they are recorded as W with no
+    points (``_certified``, in both modes), they are recorded as W with no
     row formed, and otherwise each one is classified on its row
     (``_classes``).  If it vanishes identically, clause k holds at a
     generic element exactly when its clause pair does not vanish
@@ -848,13 +848,13 @@ def analyze_span(
     In exact mode all identity decisions (quartic and clause-form
     vanishing, resultants, double roots, the generic type) are exact, and
     candidate points are also classified exactly at snapped rational
-    coordinates (see ``_classes``); the Gram test and the placement of the
-    float quartic's roots stay float decisions in both modes.  Exactness
-    certifies structure that is exactly representable; when the exact lift
-    sits within float noise of the vanishing variety without being exactly
-    on it (e.g. a family member with irrational parameters rounded to
-    floats), the profile falls back to numeric semantics instead of
-    classifying the noise.
+    coordinates (see ``_classes``); the Gram test, the placement of the
+    float quartic's roots and their certificate stay float decisions in
+    both modes.  Exactness certifies structure that is exactly
+    representable; when the exact lift sits within float noise of the
+    vanishing variety without being exactly on it (e.g. a family member
+    with irrational parameters rounded to floats), the profile falls back
+    to numeric semantics instead of classifying the noise.
     """
     check_eps(eps)
     p0, p1, s0, s1 = _check_inputs(phi0, phi1)
@@ -889,7 +889,10 @@ def analyze_span(
         # in exact mode the lift is off the variety at noise level only:
         # numeric semantics
         return _profile_degenerate_quartic(e0, e1, scales, eps, None)
-    if ctx is None and roots.slopes is not None and _certified(*roots.slopes, eps):
+    # in both modes: exact mode reads the root pattern in floats too, four
+    # simple roots are W points (see _SLOPE), so a snapped root could read
+    # only W or the generic GHZ, and the certificate proves its row reads W
+    if roots.slopes is not None and _certified(*roots.slopes, eps):
         return SpanProfile(TriClass.GHZ, tuple((pt, TriClass.W) for pt in roots))
     classes = _classes(p0, p1, roots, roots, TriClass.GHZ, eps, ctx)
     return SpanProfile(TriClass.GHZ, tuple(zip(roots, classes)))

@@ -1,3 +1,4 @@
+import cmath
 import re
 
 import numpy as np
@@ -42,6 +43,32 @@ def test_ww_plus_branch_amplitudes():
     state = make_canonical(FamilySpec("WW_W"))
     np.testing.assert_array_equal(state.amps[:8], phi0)
     np.testing.assert_array_equal(state.amps[8:], W3)
+
+
+def test_ww_a4_is_exact_at_a_gaussian_point():
+    # r = sqrt(2j) = 1 + 1j, so a4 = mu r / a3 = (1 + 1j) / 1j = 1 - 1j
+    assert ww_phi0(1, 1j, 2, +1)[4] == 1 - 1j
+
+
+def test_ww_closed_forms_over_grid():
+    # with r = sign sqrt(a3 a5): 4 a3 a0 = -mu^2, a3 a4 = mu r and a6 = a3 +
+    # a5 + 2 r, each within one rounding (2^-52 relative) on the grid
+    ulp = 2.0**-52
+    for mu, a3, a5, sign in ww_grid():
+        if sign == -1 and a3 == a5:  # the excluded branch
+            continue
+        a0, _, _, _, a4, _, a6, _ = ww_phi0(mu, a3, a5, sign)
+        r = sign * cmath.sqrt(complex(a3) * a5)
+        assert abs(4 * a3 * a0 + mu * mu) <= ulp * abs(mu * mu), (mu, a3, a5, sign)
+        assert abs(a3 * a4 - mu * r) <= ulp * abs(mu * r), (mu, a3, a5, sign)
+        assert abs(a6 - (a3 + a5 + 2 * r)) <= ulp * abs(a6), (mu, a3, a5, sign)
+
+
+def test_pencils_are_tuples_of_complex():
+    for family in FAMILY_PENCILS:
+        for phi in canonical_pencil(FamilySpec(family)):
+            assert type(phi) is tuple and len(phi) == 8
+            assert all(type(z) is complex for z in phi), family
 
 
 def test_ghz4_amplitudes():

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -158,13 +159,13 @@ def test_classify_huge_json_integer(tmp_path, capsys):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # scipy serves only the test-only oracle and numpy only .amps, generate,
+    # scipy serves only the test-only oracle and numpy only .amps,
     # fuzz-empty, apply_slocc and rank decisions next to eps: importing the
-    # package and a float or exact classify or explain of a 2-, 3- or
-    # 4-qubit file load neither, nor dataclasses.  A float call also leaves
-    # out the exact-mode modules, an exact call of a 2- or 3-qubit file
-    # fractions (which only snapping uses), and no call loads the canonical
-    # families
+    # package, a float or exact classify or explain of a 2-, 3- or 4-qubit
+    # file and a generate call load neither, nor dataclasses.  A float call
+    # also leaves out the exact-mode modules, an exact call of a 2- or
+    # 3-qubit file fractions (which only snapping uses), and no classify or
+    # explain call loads the canonical families
     paths = [
         write_state(tmp_path, [1, 0, 0, 1], "bell.json"),
         write_state(tmp_path, W3, "w.json"),
@@ -188,7 +189,8 @@ def test_runtime_does_not_import_scipy(tmp_path):
         "            assert cli.main(argv) == 0, argv\n"
         f"            unloaded(exact_unused if exact else {float_unused!r})\n"
         "assert cli.main(['generate', '--family', 'W']) == 0\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert cli.main(['generate', '--family', 'WW_W', '--param', 'a3=2', '--param', 'mu=0,1']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
@@ -369,11 +371,14 @@ def test_generate_constraint_violation(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("family, param", [("WW_W", "mu=1e200"), ("W0kPsi_W", "lambda=1e200")])
+@pytest.mark.parametrize("family, param", [("WW_W", "mu=1e200"), ("WW_W", "a3=1e-320 a5=0.5 mu=1"),
+                                           ("W0kPsi_W", "lambda=1e200")])
 def test_generate_overflow_is_not_finite(family, param, capsys):
-    # mu^2 (lambda^2, inside np.kron) overflows to inf, which the finite
-    # check of the amplitudes reports in one line, with no numpy warning
-    code, out, err = run_cli(capsys, "generate", "--family", family, "--param", param)
+    # a0 = -mu^2 / (4 a3) (-lambda^2) lies beyond the float range and reads
+    # inf, which the finite check of the amplitudes reports in one line,
+    # with no warning
+    params = [arg for p in param.split() for arg in ("--param", p)]
+    code, out, err = run_cli(capsys, "generate", "--family", family, *params)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "must be finite" in err
 
@@ -389,6 +394,28 @@ def test_generate_ww_w_at_extreme_scales(scale, capsys):
     amps = state_from_json(json.loads(out)).amps
     assert np.array_equal(amps[:8], make_canonical(FamilySpec("WW_W")).amps[:8] * scale)
     assert np.array_equal(amps[8:], W3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a3, a5, mu", [(1e200, 1e200, 1e200), (1e-320, 0.5, 1e-160), (1e-200, 1e200, 1),
+                                       (1e308, 1, 1e200), (3e305, 3e-321, 4e122)])
+def test_generate_finite_ww_w_members(a3, a5, mu, capsys):
+    # mu^2, 4 a3, a3 a5, a3 / a5 or r / a3 lie outside the normal float
+    # range, but every amplitude is finite and matches its closed form,
+    # evaluated to 40 digits on the floats that the parameters parse to
+    # (1e-320 is the subnormal 9.99988671826831e-321, so there a0 =
+    # -0.2500028)
+    code, out, err = run_cli(capsys, "generate", "--family", "WW_W", "--param", f"a3={a3}",
+                             "--param", f"a5={a5}", "--param", f"mu={mu}")
+    assert code == 0 and err == "" and out.count("\n") == 1
+    amps = state_from_json(json.loads(out)).values
+    with decimal.localcontext() as context:
+        context.prec = 40
+        d3, d5, dmu = map(decimal.Decimal, (a3, a5, mu))
+        r = (d3 * d5).sqrt()
+        expected = [-dmu * dmu / (4 * d3), 0, -dmu, d3, dmu * r / d3, d5, d3 + d5 + 2 * r, 0]
+    assert amps[:8] == pytest.approx([float(x) for x in expected], rel=1e-15, abs=0)
+    assert list(amps[8:]) == list(W3)
 
 
 @pytest.mark.parametrize("family", ["W000_000", "GHZ"])

@@ -657,7 +657,7 @@ class TestAnalyzeSpan:
         # classify 2000 pencil elements directly; non-generic verdicts may
         # occur only within the classifier's own window of a listed
         # exceptional point, eps^(1/m) for a root of multiplicity m
-        phi0, phi1 = canonical_pencil(FamilySpec(tag))
+        phi0, phi1 = map(np.asarray, canonical_pencil(FamilySpec(tag)))
         profile = analyze_span(phi0, phi1)
         xy = sphere_points(2000, seed=zlib.crc32(tag.encode()))
         elems = xy[:, :1] * phi0[None, :] + xy[:, 1:] * phi1[None, :]
@@ -675,7 +675,7 @@ class TestAnalyzeSpan:
     def test_gl2_recombination_covariance(self):
         rng = np.random.default_rng(14)
         for tag in ("W000_0Psi", "W0kPsi_W", "WW_W", "WGHZ_W", "W000_000"):
-            phi0, phi1 = canonical_pencil(FamilySpec(tag))
+            phi0, phi1 = map(np.asarray, canonical_pencil(FamilySpec(tag)))
             base = analyze_span(phi0, phi1)
             base_sig = (base.generic_type, sorted(str(c) for _, c in base.exceptional))
             for _ in range(20):
@@ -854,3 +854,25 @@ def test_certified_roots_of_gaussian_pencils_are_w(monkeypatch, eps):
     # the slopes of most roots lie below the threshold
     if eps in (1e-9, 1e-6):
         assert certified >= 400
+
+
+def test_exact_mode_records_certified_roots_as_w(monkeypatch):
+    # a Gaussian-integer local image of the WGHZ_W pencil: exact mode reads
+    # its four simple quartic roots in floats, their slopes certify them as
+    # W points, and no row is classified exactly
+    mats = [[[1, 1j], [2, -1]], [[1 + 1j, 0], [1, 1]], [[2, 1], [1j, 1]]]
+    phi0, phi1 = (list(np.einsum("ai,bj,ck,ijk->abc", *mats, np.reshape(v, (2, 2, 2))).reshape(8))
+                  for v in (GHZ3, W3))
+    certified, exact_rows = [], []
+    original_certified = pencil._certified
+
+    def certify(*args):
+        certified.append(original_certified(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(pencil, "_certified", certify)
+    monkeypatch.setattr(pencil, "classify3_exact_amps", exact_rows.append)
+    profile = analyze_span(phi0, phi1, exact=True)
+    assert certified == [True] and exact_rows == []
+    assert profile.generic_type is TriClass.GHZ
+    assert [(pt.multiplicity, cls) for pt, cls in profile.exceptional] == [(1, TriClass.W)] * 4
