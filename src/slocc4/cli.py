@@ -101,7 +101,7 @@ def _cmd_classify(args) -> int:
         out = {"n": 3, "class": str(cls)}
         genuine = cls in (TriClass.GHZ, TriClass.W)
         if args.explain:
-            report = w_clauses(state.values, eps, exact=args.exact)
+            report = w_clauses(state, eps, exact=args.exact)
             out["ghz_value"] = _pair(report.ghz_value)
             out["clause_truth"] = list(report.clause_truth)
             out["quantities"] = [_pair(q) for q in report.quantities]
@@ -250,7 +250,7 @@ def _cmd_fuzz_empty(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slocc4", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p_classify = sub.add_parser("classify", help="classify a 2-, 3- or 4-qubit state")
     p_explain = sub.add_parser("explain", help="classify and dump the span profile")
@@ -265,7 +265,8 @@ def _build_parser() -> _Parser:
                        default="1", help="distinguished qubit for n=4 (default 1)")
     p_classify.add_argument("--explain", action="store_true",
                             help="include the span-profile explanation blocks")
-    p_explain.set_defaults(explain=True)
+    p_classify.set_defaults(run=_cmd_classify)
+    p_explain.set_defaults(run=_cmd_classify, explain=True)
 
     p_gen = sub.add_parser("generate", help="write a canonical family member")
     p_gen.add_argument("--family", required=True,
@@ -274,6 +275,7 @@ def _build_parser() -> _Parser:
                        help="complex family parameter (repeatable)")
     p_gen.add_argument("--sign", choices=["plus", "minus"], default="plus",
                        help="square-root sign branch for WW_W")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_fuzz = sub.add_parser("fuzz-empty",
                             help="verify no pencil of two GHZ images is all-GHZ")
@@ -287,6 +289,7 @@ def _build_parser() -> _Parser:
                         help="extract quartic coefficients exactly as well")
     p_fuzz.add_argument("--verbose", action="store_true",
                         help="include per-trial y^4 coefficients in the report")
+    p_fuzz.set_defaults(run=_cmd_fuzz_empty)
     return parser
 
 
@@ -294,13 +297,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("classify", "explain"):
-            return _cmd_classify(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "fuzz-empty":
-            return _cmd_fuzz_empty(args)
-        raise Slocc4Error(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.run(args)
     except Slocc4Error as exc:
         print(f"slocc4: {exc}", file=sys.stderr)
         return _EXIT_ERROR

@@ -18,7 +18,8 @@ class ZeroState(Slocc4Error):
 
 
 class StateFormatError(Slocc4Error):
-    """A state file or JSON object does not match the documented format."""
+    """A state file, JSON object or amplitude vector does not match the
+    documented format, a non-finite amplitude included."""
 
 
 class AmbiguousClassification(Slocc4Error):

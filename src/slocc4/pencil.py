@@ -27,7 +27,7 @@ from .errors import (
     IdenticallyZero,
     ZeroState,
 )
-from .qstate import DEFAULT_EPS, PureState, _herm2_eigs, check_eps, complex_values
+from .qstate import DEFAULT_EPS, _herm2_eigs, as_state, check_eps
 from .tri import TriClass, classify3_batch, classify3_exact_amps
 
 
@@ -168,24 +168,14 @@ class SpanProfile(NamedTuple):
         }
 
 
-def _amps_of(state) -> tuple:
-    if isinstance(state, PureState):
-        if state.n != 3:
-            raise DegeneratePencil(f"pencil vectors must be 3-qubit, got n={state.n}")
-        return state.values
-    values = complex_values(state)
-    if len(values) != 8:
-        raise DegeneratePencil("pencil vectors must have 8 amplitudes")
-    return values
-
-
 def _check_inputs(phi0, phi1):
-    """The two pencil vectors as tuples, with their largest magnitudes.
+    """The two pencil vectors as tuples, with their largest magnitudes;
+    each must be a 3-qubit state (``qstate.as_state``).
 
     When the larger magnitude lies outside [``kernels.SCALE_LO``,
     ``kernels.SCALE_HI``], both vectors are rescaled by the same exact
     power of two, which leaves every point of the pencil in place."""
-    both, top = kernels.windowed(_amps_of(phi0) + _amps_of(phi1))
+    both, top = kernels.windowed(as_state(phi0, 3).values + as_state(phi1, 3).values)
     p0, p1 = both[:8], both[8:]
     s0 = max(map(abs, p0))
     s1 = top if s0 < top else max(map(abs, p1))

@@ -94,6 +94,17 @@ class PureState:
         return f"PureState(n={self.n}, amps={list(self.values)!r})"
 
 
+def as_state(amps, n: int) -> PureState:
+    """``amps`` itself when it is a :class:`PureState`, else
+    ``PureState(amps)``, which checks for 2**k finite amplitudes; raises
+    :class:`DimensionMismatch` unless the state has ``n`` qubits.  Every
+    classification entry point takes its input through this check."""
+    state = amps if isinstance(amps, PureState) else PureState(amps)
+    if state.n != n:
+        raise DimensionMismatch(f"expected a {n}-qubit state, got n={state.n}")
+    return state
+
+
 class LocalOperator:
     """An invertible 2x2 complex matrix acting on a single qubit."""
 
@@ -201,7 +212,7 @@ def decompose(state: PureState, distinguished: int) -> Decomposition:
     """Decompose on the given qubit (1-based index)."""
     if state.n < 2:
         raise DimensionMismatch("decomposition needs at least 2 qubits")
-    if not 1 <= distinguished <= state.n:
+    if distinguished not in range(1, state.n + 1):
         raise DimensionMismatch(
             f"distinguished qubit {distinguished} out of range 1..{state.n}"
         )
@@ -360,9 +371,7 @@ def bipartition_ranks(state: PureState, eps: float = DEFAULT_EPS) -> CutRanks:
     neither test decides goes to the SVD.
     """
     check_eps(eps)
-    state, t = _windowed(state, "rank")
-    if state.n != 4:
-        raise DimensionMismatch("bipartition cuts are defined for 4-qubit states")
+    state, t = _windowed(as_state(state, 4), "rank")
     z = state.values
     big = (max(_RANK_K * eps, _RANK_FLOOR) * t) ** 2
     tol1 = (eps / _RANK_K) ** 2 * t * t if eps > _RANK_FLOOR else 0.0

@@ -31,6 +31,7 @@ from .qstate import (  # noqa: F401
     BIPARTITIONS,
     DEFAULT_EPS,
     PureState,
+    as_state,
     bipartition_ranks,
     check_eps,
     decompose,
@@ -187,11 +188,8 @@ def classify4(
     exact: bool = False,
 ) -> QuadClass:
     """Superclass of a 4-qubit state for one distinguished qubit."""
-    if not isinstance(state, PureState):
-        state = PureState(state)
-    if state.n != 4:
-        raise DimensionMismatch(f"classify4 needs a 4-qubit state, got n={state.n}")
-    if not 1 <= distinguished <= 4:
+    state = as_state(state, 4)
+    if distinguished not in range(1, 5):
         raise DimensionMismatch(f"distinguished qubit {distinguished} out of 1..4")
     check_eps(eps)
     if not exact and eps < _RANK_FLOOR:
@@ -250,5 +248,6 @@ def classify4_all(state: PureState, eps: float = DEFAULT_EPS, exact: bool = Fals
     Returns ``(verdicts, canonical_label)``.  No equality among the four
     verdicts is asserted; they are reported as-is.
     """
+    state = as_state(state, 4)
     verdicts = [classify4(state, k, eps, exact=exact) for k in (1, 2, 3, 4)]
     return verdicts, _canonical_label(verdicts)

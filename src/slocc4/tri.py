@@ -30,9 +30,8 @@ lifted to Gaussian rationals and every zero test is exact.
 from typing import NamedTuple
 
 from . import kernels
-from .errors import DimensionMismatch
 from .kernels import TriClass
-from .qstate import DEFAULT_EPS, PureState, check_eps, complex_values
+from .qstate import DEFAULT_EPS, as_state, check_eps
 
 
 class ClauseReport(NamedTuple):
@@ -43,16 +42,9 @@ class ClauseReport(NamedTuple):
     quantities: tuple
 
 
-def _as_amp8(a) -> tuple:
-    values = complex_values(a)
-    if len(values) != 8:
-        raise DimensionMismatch("expected 8 amplitudes of a 3-qubit state")
-    return values
-
-
 def ghz_invariant(a) -> complex:
-    """GHZ criterion polynomial of 8 amplitudes (zero vector gives 0)."""
-    return complex(kernels.ghz_invariant_batch([_as_amp8(a)])[0])
+    """GHZ criterion polynomial of a 3-qubit state (zero vector gives 0)."""
+    return complex(kernels.ghz_invariant_batch([as_state(a, 3).values])[0])
 
 
 def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
@@ -65,7 +57,7 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
     the rule of ``classify3``, or in exact mode not exactly zero on the
     exact lift."""
     check_eps(eps)
-    arr, scale = kernels.windowed(_as_amp8(a))
+    arr, scale = kernels.windowed(as_state(a, 3).values)
     if exact:
         from . import exact as _exact
 
@@ -73,14 +65,15 @@ def w_clauses(a, eps: float = DEFAULT_EPS, exact: bool = False) -> ClauseReport:
         ghz, q = kernels.ghz(*lifted), kernels.clauses(*lifted)
         truth = [q[2 * k] or q[2 * k + 1] for k in range(3)]
     else:
-        ghz, q = ghz_invariant(arr), kernels.clause_quantities_batch([arr])[0]
+        ghz, q = kernels.ghz_invariant_batch([arr])[0], kernels.clause_quantities_batch([arr])[0]
         truth = kernels.clause_truths(q, eps * scale * scale)
     return ClauseReport(complex(ghz), tuple(map(bool, truth)), tuple(map(complex, q)))
 
 
 def classify3_batch(amps, eps: float = DEFAULT_EPS) -> list:
     """Classify each amplitude row of a (N, 8) array or a list of N rows of
-    8 numbers."""
+    8 numbers.  The rows are not checked: the caller passes rows of 8
+    finite amplitudes, as ``pencil`` does."""
     return kernels.tri_codes_batch(amps, eps)
 
 
@@ -103,12 +96,7 @@ def classify3(state, eps: float = DEFAULT_EPS, exact: bool = False) -> TriClass:
     rather than being silently rounded to a class.
     """
     check_eps(eps)
-    if isinstance(state, PureState):
-        if state.n != 3:
-            raise DimensionMismatch(f"classify3 needs a 3-qubit state, got n={state.n}")
-        amps = state.values
-    else:
-        amps = _as_amp8(state)
+    amps = as_state(state, 3).values
     if exact:
         from . import exact as _exact
 

@@ -162,38 +162,94 @@ def test_runtime_does_not_import_scipy(tmp_path):
     # scipy serves only the test-only oracle and numpy only .amps,
     # fuzz-empty, apply_slocc and rank decisions next to eps: importing the
     # package, a float or exact classify or explain of a 2-, 3- or 4-qubit
-    # file and a generate call load neither, nor dataclasses.  A float call
-    # also leaves out the exact-mode modules, an exact call of a 2- or
-    # 3-qubit file fractions (which only snapping uses), and no classify or
-    # explain call loads the canonical families
-    paths = [
-        write_state(tmp_path, [1, 0, 0, 1], "bell.json"),
-        write_state(tmp_path, W3, "w.json"),
-        write_state(tmp_path, make_canonical(FamilySpec("WGHZ_W")).amps, "wghz_w.json"),
-    ]
-    unused = ["numpy", "scipy", "slocc4.canonical", "dataclasses"]
+    # file and a generate call load neither, nor dataclasses, nor the test
+    # tools.  A float call also leaves out the exact-mode modules, an exact
+    # call of a 2- or 3-qubit file fractions (which only snapping uses), and
+    # no classify or explain call loads the canonical families.  The rows
+    # run in order in one interpreter, so a module that a row leaves out
+    # was loaded by none of the rows before it either
+    def state(amps, name):
+        return write_state(tmp_path, amps, name)
+
+    bell = state([1, 0, 0, 1], "bell.json")
+    w = state(W3, "w.json")
+    wghz_w = state(make_canonical(FamilySpec("WGHZ_W")).amps, "wghz_w.json")
+    # |0> x GHZ_3 ends in the rank screen's early exit
+    degenerate = state(np.eye(16)[0] + np.eye(16)[7], "degenerate.json")
+    # GHZ value 1e-8, 10 times eps = 1e-9, inside the band of the zero rule
+    borderline = state([1, 0, 0, 0, 0, 0, 0, 1e-4], "borderline.json")
+    # lambda = 100 runs the clause-form path of a W-generic pencil
+    w0kpsi_w = state(make_canonical(FamilySpec("W0kPsi_W", {"lambda": 100})).amps, "w0kpsi_w.json")
+    # the pencil quartics are squares: two double roots in the anchored
+    # chart of pencil._chart
+    w0kpsi_0kpsi = state(make_canonical(FamilySpec("W0kPsi_0kPsi")).amps, "w0kpsi_0kpsi.json")
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00bad")
+
+    unused = ["numpy", "scipy", "slocc4.canonical", "dataclasses", "hypothesis", "pytest"]
     float_unused = unused + ["fractions", "slocc4.exact"]
-    exact_unused = [unused + ["fractions"], unused + ["fractions"], unused]
+    generate_unused = [name for name in unused if name != "slocc4.canonical"]
+    all_qubits = ["--distinguished", "all"]
+
+    def generate(family, params="", status=0):
+        argv = ["generate", "--family", family, *[arg for p in params.split() for arg in ("--param", p)]]
+        return argv, status, generate_unused, "must be finite" if status else None
+
+    # (argv, exit status, modules still unloaded, canonical label or, for
+    # exit 1, the text of the one stderr line)
+    rows = [
+        *[([command, path, *all_qubits], 0, float_unused, None)
+          for path in (bell, w, wghz_w) for command in ("classify", "explain")],
+        *[([command, degenerate, *all_qubits], 2, float_unused, ";".join(["Degenerate"] * 4))
+          for command in ("classify", "explain")],
+        (["classify", borderline], 1, float_unused, "GHZ value"),
+        (["classify", str(not_utf8)], 1, float_unused, "cannot read"),
+        *[([command, w0kpsi_w, *all_qubits], 0, float_unused, ";".join(["W0kPsi_W(1)"] * 4))
+          for command in ("classify", "explain")],
+        (["classify", w0kpsi_0kpsi, *all_qubits], 0, float_unused, ";".join(["W0kPsi_0kPsi(1)"] * 4)),
+        *[([command, path, *all_qubits, "--exact"], 0, unused + ["fractions"], None)
+          for path in (bell, w) for command in ("classify", "explain")],
+        *[([command, wghz_w, *all_qubits, "--exact"], 0, unused, None) for command in ("classify", "explain")],
+        (["classify", w0kpsi_0kpsi, *all_qubits, "--exact"], 0, unused, ";".join(["W0kPsi_0kPsi(1)"] * 4)),
+        generate("W"),
+        generate("WW_W", "a3=2 mu=0,1"),
+        # finite members whose a3 a5, mu^2 or a3 / a5 lie outside the normal
+        # float range
+        generate("WW_W", "a3=1e300 a5=1e300"),
+        generate("WW_W", "a3=1e200 a5=1e200 mu=1e200"),
+        generate("WW_W", "a3=1e-320 a5=0.5 mu=1e-160"),
+        generate("WW_W", "a3=1e-200 a5=1e200 mu=1"),
+        # members whose amplitudes overflow: one stderr line, which no
+        # RuntimeWarning precedes
+        generate("WW_W", "mu=1e200", 1),
+        generate("W0kPsi_W", "lambda=1e200", 1),
+    ]
     code = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         "import slocc4\n"
-        "def unloaded(names):\n"
-        "    loaded = [name for name in names if name in sys.modules]\n"
-        "    assert not loaded, loaded\n"
-        f"unloaded({float_unused!r})\n"
+        f"results = [[name for name in {float_unused!r} if name in sys.modules]]\n"
         "from slocc4 import cli\n"
-        "for exact in ([], ['--exact']):\n"
-        f"    for path, exact_unused in zip({paths!r}, {exact_unused!r}):\n"
-        "        for command in ('classify', 'explain'):\n"
-        "            argv = [command, path, '--distinguished', 'all', *exact]\n"
-        "            assert cli.main(argv) == 0, argv\n"
-        f"            unloaded(exact_unused if exact else {float_unused!r})\n"
-        "assert cli.main(['generate', '--family', 'W']) == 0\n"
-        "assert cli.main(['generate', '--family', 'WW_W', '--param', 'a3=2', '--param', 'mu=0,1']) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
+        f"for argv, unused in {[(argv, names) for argv, _, names, _ in rows]!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        status = cli.main(argv)\n"
+        "    loaded = [name for name in unused if name in sys.modules]\n"
+        "    results.append([status, out.getvalue(), err.getvalue(), loaded])\n"
+        "print(json.dumps(results))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+    imported, *results = json.loads(proc.stdout)
+    assert imported == []
+    for (argv, status, _, expected), (code, out, err, loaded) in zip(rows, results, strict=True):
+        assert (code, loaded) == (status, []), (argv, err)
+        if status == 1:
+            assert out == "" and err.count("\n") == 1 and expected in err, (argv, err)
+            continue
+        assert err == "" and out.count("\n") == 1, (argv, err)
+        obj = json.loads(out)
+        if expected is not None:
+            assert obj["canonical_label"] == expected, argv
 
 
 def test_package_exports_the_canonical_names_on_first_use():

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from slocc4 import (
     AmbiguousClassification,
-    DegeneratePencil,
     DimensionMismatch,
     ProjectivePoint,
     PureState,
     Slocc4Error,
     SpanProfile,
+    StateFormatError,
     TriClass,
     analyze_span,
     bipartition_ranks,
@@ -149,12 +149,16 @@ _RAISES = {
                               "random_slocc needs 1 to 4 qubits, got n=0"),
     "decompose qubit 5": (lambda: decompose(_WGHZ_W, 5), DimensionMismatch,
                           "distinguished qubit 5 out of range 1..4"),
+    "decompose qubit 1.5": (lambda: decompose(_WGHZ_W, 1.5), DimensionMismatch,
+                            "distinguished qubit 1.5 out of range 1..4"),
+    "classify4 qubit 1.5": (lambda: classify4(_WGHZ_W, 1.5), DimensionMismatch,
+                            "distinguished qubit 1.5 out of 1..4"),
     "cut_matrix 3 qubits": (lambda: cut_matrix(PureState(GHZ3), (1, 2)), DimensionMismatch,
                             "bipartition cuts are defined for 4-qubit states"),
-    "analyze_span 2-qubit vector": (lambda: analyze_span(PureState([1, 0, 0, 1]), W3), DegeneratePencil,
-                                    "pencil vectors must be 3-qubit, got n=2"),
-    "analyze_span 7 amplitudes": (lambda: analyze_span(GHZ3, list(W3)[:7]), DegeneratePencil,
-                                  "pencil vectors must have 8 amplitudes"),
+    "analyze_span 2-qubit vector": (lambda: analyze_span(PureState([1, 0, 0, 1]), W3), DimensionMismatch,
+                                    "expected a 3-qubit state, got n=2"),
+    "analyze_span 7 amplitudes": (lambda: analyze_span(GHZ3, list(W3)[:7]), DimensionMismatch,
+                                  "amplitude vector of length 7 is not a 1..4 qubit state"),
     "cli classify 1 qubit": (_classify_a_one_qubit_state, Slocc4Error,
                              "classification needs 2, 3 or 4 qubits"),
 }
@@ -166,3 +170,48 @@ def test_raise_table(entry):
     with pytest.raises(Slocc4Error) as info:
         call()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+#: Each entry point that takes raw amplitudes, in float and exact mode where
+#: it has both, called on a 3- or 4-qubit amplitude list.
+_RAW_CALLS = {
+    "classify3": (3, lambda a: classify3(a)),
+    "classify3 exact": (3, lambda a: classify3(a, exact=True)),
+    "w_clauses": (3, lambda a: w_clauses(a)),
+    "w_clauses exact": (3, lambda a: w_clauses(a, exact=True)),
+    "ghz_invariant": (3, lambda a: ghz_invariant(a)),
+    "analyze_span phi0": (3, lambda a: analyze_span(a, W3)),
+    "analyze_span phi1": (3, lambda a: analyze_span(GHZ3, a)),
+    "analyze_span exact": (3, lambda a: analyze_span(a, W3, exact=True)),
+    "quartic": (3, lambda a: quartic(GHZ3, a)),
+    "clause_quadratics": (3, lambda a: clause_quadratics(a, W3)),
+    "classify4": (4, lambda a: classify4(a)),
+    "classify4 exact": (4, lambda a: classify4(a, exact=True)),
+    "classify4_all": (4, lambda a: classify4_all(a)),
+    "classify4_all exact": (4, lambda a: classify4_all(a, exact=True)),
+    "bipartition_ranks": (4, lambda a: bipartition_ranks(a)),
+}
+
+
+@pytest.mark.parametrize("position, value", [(0, math.nan), (-1, math.nan), (3, math.inf),
+                                             (5, complex(0, math.inf))],
+                         ids=["nan first", "nan last", "inf", "inf j"])
+@pytest.mark.parametrize("call", sorted(_RAW_CALLS))
+def test_non_finite_raw_amplitudes_raise_state_format_error(call, position, value):
+    n, entry = _RAW_CALLS[call]
+    amps = list(W3 if n == 3 else _WGHZ_W.values)
+    amps[position] = value
+    with pytest.raises(Slocc4Error) as info:
+        entry(amps)
+    assert (type(info.value), str(info.value)) == (StateFormatError, "amplitudes must be finite")
+
+
+def test_state_and_raw_amplitudes_agree():
+    for amps in (W3, GHZ3, [0, 1, 1, 0, 1, 0, 0, 1e-3j]):
+        assert w_clauses(PureState(amps)) == w_clauses(amps)
+        assert w_clauses(PureState(amps), exact=True) == w_clauses(amps, exact=True)
+        assert ghz_invariant(PureState(amps)) == ghz_invariant(amps)
+    for amps in (_WGHZ_W.values, [2.0**-300] + [0] * 14 + [2.0**-300]):
+        from_state, from_raw = bipartition_ranks(PureState(amps)), bipartition_ranks(list(amps))
+        assert dict(from_state) == dict(from_raw)
+        assert from_state.state.values == from_raw.state.values
